@@ -541,23 +541,14 @@ private:
   void execCopy(const Operation &Op, const ScalarEnv &Env) {
     if (Failure)
       return;
-    SubTensor SrcMap = Module.resolveSlice(Op.CopySrc, Env);
-    SubTensor DstMap = Module.resolveSlice(Op.CopyDst, Env);
-    TensorData &Src = storage(Op.CopySrc.Tensor, Env,
-                              Op.CopySrc.BufferIndex.evaluate(Env));
-    TensorData &Dst = storage(Op.CopyDst.Tensor, Env,
-                              Op.CopyDst.BufferIndex.evaluate(Env));
-    int64_t Count = SrcMap.shape().numElements();
-    if (Count != DstMap.shape().numElements()) {
-      fail(formatString("lowered copy size mismatch (%lld vs %lld)",
-                        static_cast<long long>(Count),
-                        static_cast<long long>(
-                            DstMap.shape().numElements())));
-      return;
-    }
-    for (int64_t I = 0; I < Count; ++I)
-      Dst.set(DstMap.mapToParent(DstMap.shape().delinearize(I)),
-              Src.at(SrcMap.mapToParent(SrcMap.shape().delinearize(I))));
+    TensorView Src(storage(Op.CopySrc.Tensor, Env,
+                           Op.CopySrc.BufferIndex.evaluate(Env)),
+                   Module.resolveSlice(Op.CopySrc, Env));
+    TensorView Dst(storage(Op.CopyDst.Tensor, Env,
+                           Op.CopyDst.BufferIndex.evaluate(Env)),
+                   Module.resolveSlice(Op.CopyDst, Env));
+    if (ErrorOrVoid Copied = copyElements(Dst, Src); !Copied)
+      fail(Copied.diagnostic());
   }
 
   void execCall(const Operation &Op, const ScalarEnv &Env) {

@@ -21,24 +21,32 @@ using namespace cypress;
 
 namespace {
 
+// Every leaf below keeps the per-element accumulation order of the plain
+// nested loops (sums run over the innermost index in increasing order) and
+// stores through TensorView, so FP16 outputs quantize exactly as before and
+// both executors stay bit-identical. Read-only rank-2 operands go through
+// TensorView::Matrix, whose inner loops are a base pointer and two strides;
+// the Scratch vectors back offset-table operands only.
+
 /// C += A x B with FP32 accumulation (the wgmma semantics; C is an FP32
 /// accumulator view, A/B are FP16 tiles).
 void wgmmaAccumulate(std::vector<TensorView> &Args,
                      const std::vector<int64_t> &) {
   assert(Args.size() == 3 && "wgmma expects C, A, B");
   TensorView &C = Args[0];
-  TensorView &A = Args[1];
-  TensorView &B = Args[2];
+  std::vector<float> ScratchA, ScratchB;
+  TensorView::Matrix A = Args[1].matrix(ScratchA);
+  TensorView::Matrix B = Args[2].matrix(ScratchB);
   int64_t M = C.shape().dim(0);
   int64_t N = C.shape().dim(1);
-  int64_t K = A.shape().dim(1);
-  assert(A.shape().dim(0) == M && B.shape().dim(0) == K &&
-         B.shape().dim(1) == N && "wgmma operand shape mismatch");
+  int64_t K = A.Cols;
+  assert(A.Rows == M && B.Rows == K && B.Cols == N &&
+         "wgmma operand shape mismatch");
   for (int64_t I = 0; I < M; ++I)
     for (int64_t J = 0; J < N; ++J) {
       float Acc = C.at2(I, J);
       for (int64_t KK = 0; KK < K; ++KK)
-        Acc += A.at2(I, KK) * B.at2(KK, J);
+        Acc += A(I, KK) * B(KK, J);
       C.set2(I, J, Acc);
     }
 }
@@ -49,18 +57,18 @@ void wgmmaAccumulateBT(std::vector<TensorView> &Args,
                        const std::vector<int64_t> &) {
   assert(Args.size() == 3 && "wgmma_bt expects C, A, B");
   TensorView &C = Args[0];
-  TensorView &A = Args[1];
-  TensorView &B = Args[2];
+  std::vector<float> ScratchA, ScratchB;
+  TensorView::Matrix A = Args[1].matrix(ScratchA);
+  TensorView::Matrix B = Args[2].matrix(ScratchB);
   int64_t M = C.shape().dim(0);
   int64_t N = C.shape().dim(1);
-  int64_t K = A.shape().dim(1);
-  assert(B.shape().dim(0) == N && B.shape().dim(1) == K &&
-         "wgmma_bt operand shape mismatch");
+  int64_t K = A.Cols;
+  assert(B.Rows == N && B.Cols == K && "wgmma_bt operand shape mismatch");
   for (int64_t I = 0; I < M; ++I)
     for (int64_t J = 0; J < N; ++J) {
       float Acc = C.at2(I, J);
       for (int64_t KK = 0; KK < K; ++KK)
-        Acc += A.at2(I, KK) * B.at2(J, KK);
+        Acc += A(I, KK) * B(J, KK);
       C.set2(I, J, Acc);
     }
 }
@@ -69,22 +77,15 @@ void clearTensor(std::vector<TensorView> &Args,
                  const std::vector<int64_t> &) {
   assert(!Args.empty() && "clear expects one tensor");
   TensorView &T = Args[0];
-  int64_t Count = T.shape().numElements();
-  for (int64_t I = 0; I < Count; ++I)
-    T.set(T.shape().delinearize(I), 0.0f);
+  T.forEachOffset([&](int64_t, int64_t Offset) { T.setOffset(Offset, 0.0f); });
 }
 
 /// Dst = Src (element-wise, possibly with FP16 quantization on the store).
 void storeTensor(std::vector<TensorView> &Args,
                  const std::vector<int64_t> &) {
   assert(Args.size() == 2 && "store expects Dst, Src");
-  TensorView &Dst = Args[0];
-  TensorView &Src = Args[1];
-  int64_t Count = Dst.shape().numElements();
-  assert(Src.shape().numElements() == Count && "store size mismatch");
-  for (int64_t I = 0; I < Count; ++I)
-    Dst.set(Dst.shape().delinearize(I),
-            Src.at(Src.shape().delinearize(I)));
+  [[maybe_unused]] ErrorOrVoid Stored = copyElements(Args[0], Args[1]);
+  assert(Stored && "store size mismatch");
 }
 
 /// y(i) += sum_k A(i, k): the fused row reduction of Figure 13d's kernel.
@@ -92,14 +93,13 @@ void rowSumAccumulate(std::vector<TensorView> &Args,
                       const std::vector<int64_t> &) {
   assert(Args.size() == 2 && "row_sum expects y, A");
   TensorView &Y = Args[0];
-  TensorView &A = Args[1];
-  int64_t M = A.shape().dim(0);
-  int64_t K = A.shape().dim(1);
-  for (int64_t I = 0; I < M; ++I) {
-    float Acc = Y.at({I});
-    for (int64_t KK = 0; KK < K; ++KK)
-      Acc += A.at2(I, KK);
-    Y.set({I}, Acc);
+  std::vector<float> Scratch;
+  TensorView::Matrix A = Args[1].matrix(Scratch);
+  for (int64_t I = 0; I < A.Rows; ++I) {
+    float Acc = Y.atLinear(I);
+    for (int64_t KK = 0; KK < A.Cols; ++KK)
+      Acc += A(I, KK);
+    Y.setLinear(I, Acc);
   }
 }
 
@@ -125,21 +125,21 @@ void onlineSoftmaxStep(std::vector<TensorView> &Args,
   int64_t N = S.shape().dim(1);
   int64_t D = O.shape().dim(1);
   for (int64_t I = 0; I < M; ++I) {
-    float RowMax = Mx.at({I});
+    float RowMax = Mx.atLinear(I);
     for (int64_t J = 0; J < N; ++J) {
       float V = static_cast<float>(S.at2(I, J) * Scale);
       S.set2(I, J, V);
       RowMax = std::max(RowMax, V);
     }
-    float Alpha = std::exp(Mx.at({I}) - RowMax);
+    float Alpha = std::exp(Mx.atLinear(I) - RowMax);
     float RowSum = 0.0f;
     for (int64_t J = 0; J < N; ++J) {
       float P = std::exp(S.at2(I, J) - RowMax);
       S.set2(I, J, P);
       RowSum += P;
     }
-    L.set({I}, Alpha * L.at({I}) + RowSum);
-    Mx.set({I}, RowMax);
+    L.setLinear(I, Alpha * L.atLinear(I) + RowSum);
+    Mx.setLinear(I, RowMax);
     for (int64_t J = 0; J < D; ++J)
       O.set2(I, J, Alpha * O.at2(I, J));
   }
@@ -154,7 +154,7 @@ void softmaxFinalize(std::vector<TensorView> &Args,
   int64_t M = O.shape().dim(0);
   int64_t D = O.shape().dim(1);
   for (int64_t I = 0; I < M; ++I) {
-    float Denominator = L.at({I});
+    float Denominator = L.atLinear(I);
     float Inv = Denominator != 0.0f ? 1.0f / Denominator : 0.0f;
     for (int64_t J = 0; J < D; ++J)
       O.set2(I, J, O.at2(I, J) * Inv);
@@ -168,8 +168,8 @@ void softmaxInit(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
   TensorView &L = Args[1];
   int64_t M = Mx.shape().dim(0);
   for (int64_t I = 0; I < M; ++I) {
-    Mx.set({I}, -3.0e38f);
-    L.set({I}, 0.0f);
+    Mx.setLinear(I, -3.0e38f);
+    L.setLinear(I, 0.0f);
   }
 }
 
@@ -179,11 +179,13 @@ void addInto(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
   assert(Args.size() == 2 && "add_into expects Dst, Src");
   TensorView &Dst = Args[0];
   TensorView &Src = Args[1];
-  int64_t Count = Dst.shape().numElements();
-  for (int64_t I = 0; I < Count; ++I) {
-    std::vector<int64_t> Index = Dst.shape().delinearize(I);
-    Dst.set(Index, Dst.at(Index) + Src.at(Src.shape().delinearize(I)));
-  }
+  assert(Src.shape().numElements() == Dst.shape().numElements() &&
+         "add_into size mismatch");
+  TensorView::Cursor From(Src);
+  Dst.forEachOffset([&](int64_t, int64_t Offset) {
+    Dst.setOffset(Offset, Dst.atOffset(Offset) + Src.atOffset(From.offset()));
+    From.next();
+  });
 }
 
 /// Dual-GEMM inner step: C += A x B1 + A x B2 in one Tensor Core pass over
@@ -191,17 +193,18 @@ void addInto(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
 void dualWgmma(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
   assert(Args.size() == 4 && "dual_wgmma expects C, A, B1, B2");
   TensorView &C = Args[0];
-  TensorView &A = Args[1];
-  TensorView &B1 = Args[2];
-  TensorView &B2 = Args[3];
+  std::vector<float> ScratchA, ScratchB1, ScratchB2;
+  TensorView::Matrix A = Args[1].matrix(ScratchA);
+  TensorView::Matrix B1 = Args[2].matrix(ScratchB1);
+  TensorView::Matrix B2 = Args[3].matrix(ScratchB2);
   int64_t M = C.shape().dim(0);
   int64_t N = C.shape().dim(1);
-  int64_t K = A.shape().dim(1);
+  int64_t K = A.Cols;
   for (int64_t I = 0; I < M; ++I)
     for (int64_t J = 0; J < N; ++J) {
       float Acc = C.at2(I, J);
       for (int64_t KK = 0; KK < K; ++KK)
-        Acc += A.at2(I, KK) * (B1.at2(KK, J) + B2.at2(KK, J));
+        Acc += A(I, KK) * (B1(KK, J) + B2(KK, J));
       C.set2(I, J, Acc);
     }
 }
@@ -211,13 +214,12 @@ void dualWgmma(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
 void rowSumTile(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
   assert(Args.size() == 2 && "row_sum_tile expects Y, A");
   TensorView &Y = Args[0];
-  TensorView &A = Args[1];
-  int64_t M = A.shape().dim(0);
-  int64_t K = A.shape().dim(1);
-  for (int64_t I = 0; I < M; ++I) {
+  std::vector<float> Scratch;
+  TensorView::Matrix A = Args[1].matrix(Scratch);
+  for (int64_t I = 0; I < A.Rows; ++I) {
     float Acc = Y.at2(0, I);
-    for (int64_t KK = 0; KK < K; ++KK)
-      Acc += A.at2(I, KK);
+    for (int64_t KK = 0; KK < A.Cols; ++KK)
+      Acc += A(I, KK);
     Y.set2(0, I, Acc);
   }
 }
@@ -226,16 +228,17 @@ void rowSumTile(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
 void wgmmaBTSet(std::vector<TensorView> &Args, const std::vector<int64_t> &) {
   assert(Args.size() == 3 && "wgmma_bt_set expects S, Q, K");
   TensorView &S = Args[0];
-  TensorView &Q = Args[1];
-  TensorView &K = Args[2];
+  std::vector<float> ScratchQ, ScratchK;
+  TensorView::Matrix Q = Args[1].matrix(ScratchQ);
+  TensorView::Matrix K = Args[2].matrix(ScratchK);
   int64_t M = S.shape().dim(0);
   int64_t N = S.shape().dim(1);
-  int64_t D = Q.shape().dim(1);
+  int64_t D = Q.Cols;
   for (int64_t I = 0; I < M; ++I)
     for (int64_t J = 0; J < N; ++J) {
       float Acc = 0.0f;
       for (int64_t KK = 0; KK < D; ++KK)
-        Acc += Q.at2(I, KK) * K.at2(J, KK);
+        Acc += Q(I, KK) * K(J, KK);
       S.set2(I, J, Acc);
     }
 }

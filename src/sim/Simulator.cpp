@@ -1392,27 +1392,14 @@ private:
   }
 
   void execCopy(const Operation &Op, const ScalarEnv &Env) {
-    SubTensor SrcMap = Module.resolveSlice(Op.CopySrc, Env);
-    SubTensor DstMap = Module.resolveSlice(Op.CopyDst, Env);
-    TensorData &Src = storage(Op.CopySrc.Tensor, Env,
-                              Op.CopySrc.BufferIndex.evaluate(Env));
-    TensorData &Dst = storage(Op.CopyDst.Tensor, Env,
-                              Op.CopyDst.BufferIndex.evaluate(Env));
-    int64_t Count = SrcMap.shape().numElements();
-    if (Count != DstMap.shape().numElements()) {
-      fail(formatString("copy size mismatch at runtime (%lld vs %lld)",
-                        static_cast<long long>(Count),
-                        static_cast<long long>(
-                            DstMap.shape().numElements())));
-      return;
-    }
-    for (int64_t I = 0; I < Count; ++I) {
-      std::vector<int64_t> SrcIdx =
-          SrcMap.mapToParent(SrcMap.shape().delinearize(I));
-      std::vector<int64_t> DstIdx =
-          DstMap.mapToParent(DstMap.shape().delinearize(I));
-      Dst.set(DstIdx, Src.at(SrcIdx));
-    }
+    TensorView Src(storage(Op.CopySrc.Tensor, Env,
+                           Op.CopySrc.BufferIndex.evaluate(Env)),
+                   Module.resolveSlice(Op.CopySrc, Env));
+    TensorView Dst(storage(Op.CopyDst.Tensor, Env,
+                           Op.CopyDst.BufferIndex.evaluate(Env)),
+                   Module.resolveSlice(Op.CopyDst, Env));
+    if (ErrorOrVoid Copied = copyElements(Dst, Src); !Copied)
+      fail(Copied.diagnostic().message());
   }
 
   void execCall(const Operation &Op, const ScalarEnv &Env) {

@@ -113,28 +113,50 @@ SubTensor SubTensor::compose(const SubTensor &Outer, const SubTensor &Inner) {
 
 std::vector<int64_t>
 SubTensor::mapToParent(const std::vector<int64_t> &SubIndex) const {
-  std::vector<int64_t> Local = mapToLocalParent(SubIndex);
-  if (Parent)
-    return Parent->mapToParent(Local);
-  return Local;
+  assert(SubIndex.size() == SubShape.rank() && "sub index rank mismatch");
+  std::vector<int64_t> Index = SubIndex;
+  mapToRootInPlace(Index.data());
+  return Index;
 }
 
-std::vector<int64_t>
-SubTensor::mapToLocalParent(const std::vector<int64_t> &SubIndex) const {
-  assert(SubIndex.size() == SubShape.rank() && "sub index rank mismatch");
+void SubTensor::mapToRootInPlace(int64_t *Index) const {
+  for (const SubTensor *Level = this; Level; Level = Level->Parent.get())
+    Level->mapToLocalParentInPlace(Index);
+}
+
+bool SubTensor::rootTranslation(int64_t *Translation) const {
+  unsigned Rank = SubShape.rank();
+  for (unsigned I = 0; I != Rank; ++I)
+    Translation[I] = 0;
+  for (const SubTensor *Level = this; Level; Level = Level->Parent.get()) {
+    switch (Level->Kind) {
+    case MapKind::Rect:
+    case MapKind::Whole:
+      for (unsigned I = 0; I != Rank; ++I)
+        Translation[I] += Level->Offset[I];
+      break;
+    case MapKind::MmaWarp:
+      Translation[0] += 16 * Level->WarpIndex;
+      break;
+    case MapKind::MmaLane:
+      return false;
+    }
+  }
+  return true;
+}
+
+void SubTensor::mapToLocalParentInPlace(int64_t *Index) const {
   switch (Kind) {
   case MapKind::Rect:
-  case MapKind::Whole: {
-    std::vector<int64_t> Parent(SubIndex.size());
-    for (unsigned I = 0, E = SubIndex.size(); I != E; ++I)
-      Parent[I] = SubIndex[I] + Offset[I];
-    return Parent;
-  }
-  case MapKind::MmaWarp: {
+  case MapKind::Whole:
+    for (unsigned I = 0, E = SubShape.rank(); I != E; ++I)
+      Index[I] += Offset[I];
+    return;
+  case MapKind::MmaWarp:
     // Warp w owns rows [16w, 16w + 16) of the m64 accumulator (Figure 4
     // row coloring); columns are not swizzled at warp granularity.
-    return {SubIndex[0] + 16 * WarpIndex, SubIndex[1]};
-  }
+    Index[0] += 16 * WarpIndex;
+    return;
   case MapKind::MmaLane: {
     // PTX m64nNk16 accumulator fragment layout. Within warp w, lane l holds,
     // for every 8-column group g and row-half h in {0, 1}:
@@ -142,13 +164,11 @@ SubTensor::mapToLocalParent(const std::vector<int64_t> &SubIndex) const {
     //   col = 8g + 2 * (l % 4) + e      for e in {0, 1}
     // The compacted fragment is indexed [h][g * 2 + e'] where the flattened
     // column coordinate walks column groups then element pairs.
-    int64_t H = SubIndex[0];
-    int64_t Flat = SubIndex[1];
-    int64_t Group = Flat / 2;
-    int64_t Elem = Flat % 2;
-    int64_t Row = 16 * WarpIndex + 8 * H + LaneIndex / 4;
-    int64_t Col = 8 * Group + 2 * (LaneIndex % 4) + Elem;
-    return {Row, Col};
+    int64_t H = Index[0];
+    int64_t Flat = Index[1];
+    Index[0] = 16 * WarpIndex + 8 * H + LaneIndex / 4;
+    Index[1] = 8 * (Flat / 2) + 2 * (LaneIndex % 4) + Flat % 2;
+    return;
   }
   }
   cypressUnreachable("unknown sub-tensor map kind");

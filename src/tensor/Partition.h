@@ -103,6 +103,17 @@ public:
   /// full composition chain to the root.
   std::vector<int64_t> mapToParent(const std::vector<int64_t> &SubIndex) const;
 
+  /// Allocation-free mapToParent: rewrites the rank() coordinates at
+  /// \p Index from this sub-tensor's system into the root's. Every level
+  /// of a chain preserves rank, so one buffer serves the whole walk.
+  void mapToRootInPlace(int64_t *Index) const;
+
+  /// True when every level of the chain is a pure translation (Rect,
+  /// Whole, MmaWarp); then root index = sub index + \p Translation, which
+  /// is written here (rank() slots). False for chains through a swizzled
+  /// MmaLane fragment.
+  bool rootTranslation(int64_t *Translation) const;
+
   /// Visits every (subLinear, parentIndex) pair. The callback receives the
   /// linearized sub index (row-major over shape()) and the parent coords.
   void forEachElement(
@@ -111,11 +122,9 @@ public:
       const;
 
 private:
-  /// Maps a sub index one level up (ignoring the composition chain).
-  std::vector<int64_t>
-  mapToLocalParent(const std::vector<int64_t> &SubIndex) const;
+  /// Maps \p Index one level up, in place (ignoring the composition chain).
+  void mapToLocalParentInPlace(int64_t *Index) const;
 
-private:
   enum class MapKind : uint8_t { Rect, Whole, MmaLane, MmaWarp };
 
   MapKind Kind = MapKind::Rect;

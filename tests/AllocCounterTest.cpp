@@ -7,7 +7,8 @@
 /// \file
 /// Tests for the opt-in counting-allocator hook (support/AllocCounter.h)
 /// and the measurements built on it: per-pass HeapAllocs in PipelineStats,
-/// and the simulator's pooled-scratch steady state. These pin the
+/// the simulator's pooled-scratch steady state, and the executors'
+/// allocation-free element data path. These pin the
 /// "allocation-free steady state" claim as a measured bound instead of a
 /// comment. Every test skips when the hook is compiled out (sanitizer
 /// builds own the allocator there).
@@ -15,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestKernels.h"
+#include "backend/CpuLowering.h"
 #include "compiler/PassManager.h"
 #include "support/AllocCounter.h"
 
@@ -144,6 +146,74 @@ TEST(AllocCounter, SimulatorSteadyStateAllocationBound) {
     }
     FirstOnThread = false;
   }
+}
+
+/// The claim under test (sim/TensorView.h): views resolve each slice once,
+/// so neither executor allocates per element. A run's heap allocations
+/// are bounded by a small constant per leaf call or copy (view and slice
+/// construction, argument vectors, storage keys), never by the elements
+/// those touch. Leaf calls are counted through wrappers around the
+/// builtins; LoweredStats::Instances counts the copy and call instances.
+TEST(AllocCounter, ExecutorsAllocatePerCallNotPerElement) {
+  if (!allocCounterActive())
+    GTEST_SKIP() << "alloc counter compiled out (sanitizer build)";
+
+  GemmConfig Config = smallGemmConfig();
+  Compiled C = compileGemm(Config);
+  ASSERT_TRUE(C.Kernel) << C.Error;
+  const CompiledKernel &Kernel = *C.Kernel;
+
+  const LeafRegistry &Builtins = LeafRegistry::sharedBuiltins();
+  LeafRegistry Counting;
+  int64_t Calls = 0;
+  int64_t Elements = 0; // Multiply-adds plus elements of every argument.
+  for (const char *Name : {"wgmma_fp16", "clear", "store"})
+    Counting.add(Name, [&, Name](std::vector<TensorView> &Args,
+                                 const std::vector<int64_t> &Scalars) {
+      ++Calls;
+      for (const TensorView &V : Args)
+        Elements += V.shape().numElements();
+      if (Args.size() == 3)
+        Elements += Args[0].shape().numElements() * Args[1].shape().dim(1);
+      Builtins.lookup(Name)(Args, Scalars);
+    });
+
+  // Counting run, which also warms the simulator's thread-local pools.
+  KernelBuffers Warm = gemmInputs(Config);
+  ErrorOr<LoweredStats> Stats =
+      runCpuLowered(Kernel.module(), Counting, Warm.ptrs());
+  ASSERT_TRUE(bool(Stats)) << Stats.diagnostic().message();
+  ASSERT_TRUE(bool(Kernel.runFunctional(gemmInputs(Config).ptrs())));
+  ASSERT_GT(Calls, 0);
+
+  KernelBuffers Functional = gemmInputs(Config);
+  KernelBuffers Lowered = gemmInputs(Config);
+  uint64_t FunctionalAllocs = allocsDuring([&] {
+    ASSERT_TRUE(bool(Kernel.runFunctional(Functional.ptrs())));
+  });
+  uint64_t LoweredAllocs = allocsDuring([&] {
+    ASSERT_TRUE(
+        bool(runCpuLowered(Kernel.module(), Builtins, Lowered.ptrs())));
+  });
+
+  RecordProperty("leaf_calls", static_cast<int>(Calls));
+  RecordProperty("instances", static_cast<int>(Stats->Instances));
+  RecordProperty("functional_allocs", static_cast<int>(FunctionalAllocs));
+  RecordProperty("lowered_allocs", static_cast<int>(LoweredAllocs));
+
+  // Measured on this kernel: about 16 allocations per call or instance
+  // functionally and 25 lowered (the agent machine's per-instance
+  // bookkeeping); the bound leaves headroom without admitting per-element
+  // growth.
+  uint64_t PerCallBound =
+      32 * static_cast<uint64_t>(Calls + Stats->Instances);
+  EXPECT_LE(FunctionalAllocs, PerCallBound)
+      << "calls=" << Calls << " instances=" << Stats->Instances;
+  EXPECT_LE(LoweredAllocs, PerCallBound)
+      << "calls=" << Calls << " instances=" << Stats->Instances;
+  // The bound is meaningful: far below one allocation per element.
+  EXPECT_LT(PerCallBound * 100, static_cast<uint64_t>(Elements))
+      << "elements=" << Elements;
 }
 
 } // namespace

@@ -9,10 +9,12 @@
 /// architecture-mandated WGMMA accumulator swizzle of Figure 4: the lane
 /// fragments of a warpgroup must tile the 64xN accumulator exactly
 /// (disjoint cover), rows must group by 16 per warp, and the per-8-column
-/// lane pattern must match the PTX m64nNk16 layout.
+/// lane pattern must match the PTX m64nNk16 layout. Resolved TensorViews
+/// must address exactly the elements the unresolved chain walk does.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sim/TensorView.h"
 #include "tensor/Partition.h"
 #include "tensor/TensorData.h"
 
@@ -287,4 +289,111 @@ TEST(SubTensor, ThreeLevelChain) {
             (std::vector<int64_t>{128 + 32 + 8, 0 + 48 + 4}));
   SubTensor Chain2 = SubTensor::compose(SubTensor::compose(A, B), C);
   EXPECT_EQ(Chain2.mapToParent({3, 3}), Chain.mapToParent({3, 3}));
+}
+
+//===----------------------------------------------------------------------===//
+// Resolved views
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every access path of a view resolved from \p Map (multi-index, rank-2,
+/// linear, cursor, Matrix) must land on the element the unresolved chain
+/// walk names: Data.shape().linearize(Map.mapToParent(Index)).
+void expectResolvedMatchesChain(TensorData &Data, const SubTensor &Map,
+                                bool Strided) {
+  for (size_t I = 0; I < Data.raw().size(); ++I)
+    Data.raw()[I] = static_cast<float>(I);
+  TensorView View(Data, Map);
+  EXPECT_EQ(View.isStrided(), Strided);
+  ASSERT_EQ(View.shape(), Map.shape());
+  std::vector<float> Scratch;
+  TensorView::Matrix Mat = View.matrix(Scratch);
+  TensorView::Cursor At(View);
+  for (int64_t I = 0, E = Map.shape().numElements(); I != E;
+       ++I, At.next()) {
+    std::vector<int64_t> Index = Map.shape().delinearize(I);
+    int64_t Expected = Data.shape().linearize(Map.mapToParent(Index));
+    ASSERT_EQ(View.offsetOf(Index.data(), Index.size()), Expected) << I;
+    ASSERT_EQ(View.offset2(Index[0], Index[1]), Expected) << I;
+    ASSERT_EQ(View.offsetLinear(I), Expected) << I;
+    ASSERT_EQ(At.offset(), Expected) << I;
+    ASSERT_EQ(Mat(Index[0], Index[1]), Data.at(Expected)) << I;
+  }
+}
+
+} // namespace
+
+TEST(TensorView, RectResolvesToStrides) {
+  TensorData Data(TensorType{Shape({64, 128}), ElementType::F32});
+  expectResolvedMatchesChain(Data, SubTensor::rect(Shape({16, 32}), {16, 64}),
+                             /*Strided=*/true);
+}
+
+TEST(TensorView, ClampedEdgeRectResolvesToStrides) {
+  TensorData Data(TensorType{Shape({100, 70}), ElementType::F32});
+  Partition P = Partition::byBlocks(Data.shape(), Shape({64, 64})).take();
+  SubTensor Edge = P.piece({1, 1});
+  ASSERT_EQ(Edge.shape(), Shape({36, 6}));
+  expectResolvedMatchesChain(Data, Edge, /*Strided=*/true);
+}
+
+TEST(TensorView, WholeResolvesToStrides) {
+  TensorData Data(TensorType{Shape({8, 24}), ElementType::F32});
+  expectResolvedMatchesChain(Data, SubTensor::whole(Data.shape()),
+                             /*Strided=*/true);
+}
+
+TEST(TensorView, RectOfRectResolvesToStrides) {
+  TensorData Data(TensorType{Shape({128, 256}), ElementType::F32});
+  SubTensor Chain =
+      SubTensor::compose(SubTensor::rect(Shape({64, 64}), {64, 128}),
+                         SubTensor::rect(Shape({16, 8}), {32, 40}));
+  expectResolvedMatchesChain(Data, Chain, /*Strided=*/true);
+}
+
+TEST(TensorView, WarpSliceOfRectResolvesToStrides) {
+  MmaInstruction Instr = MmaInstruction::wgmma64xNx16(64);
+  TensorData Data(TensorType{Shape({128, 192}), ElementType::F32});
+  SubTensor Tile = SubTensor::rect(Shape({64, 64}), {64, 128});
+  for (int64_t Warp = 0; Warp < 4; ++Warp)
+    expectResolvedMatchesChain(
+        Data, SubTensor::compose(Tile, SubTensor::mmaAccumWarp(Instr, Warp)),
+        /*Strided=*/true);
+}
+
+TEST(TensorView, LaneFragmentUnderWarpResolvesToOffsetTable) {
+  // The partition chain the compiler builds for thread-granularity
+  // accumulators: block tile (Rect), warp slice (MmaWarp), lane fragment
+  // (MmaLane, from the thread partition of the warp's 16xN slice).
+  MmaInstruction Instr = MmaInstruction::wgmma64xNx16(32);
+  TensorData Data(TensorType{Shape({128, 96}), ElementType::F32});
+  SubTensor Tile = SubTensor::rect(Shape({64, 32}), {64, 64});
+  Partition Lanes = Partition::byMma(Shape({16, 32}), MmaInstruction{16, 32, 16},
+                                     MmaGranularity::Thread, MmaOperand::C)
+                        .take();
+  for (int64_t Warp = 0; Warp < 4; ++Warp) {
+    SubTensor WarpSlice =
+        SubTensor::compose(Tile, SubTensor::mmaAccumWarp(Instr, Warp));
+    for (int64_t Lane = 0; Lane < 32; ++Lane)
+      expectResolvedMatchesChain(
+          Data, SubTensor::compose(WarpSlice, Lanes.piece(Lane)),
+          /*Strided=*/false);
+  }
+}
+
+TEST(TensorView, CopyElementsPairsRowMajorAndQuantizes) {
+  TensorData Src(TensorType{Shape({4, 6}), ElementType::F32});
+  TensorData Dst(TensorType{Shape({8, 8}), ElementType::F16});
+  for (size_t I = 0; I < Src.raw().size(); ++I)
+    Src.raw()[I] = 1.0f + static_cast<float>(I) / 3000.0f;
+  TensorView From = TensorView::whole(Src);
+  TensorView To(Dst, SubTensor::rect(Shape({4, 6}), {2, 1}));
+  ASSERT_TRUE(bool(copyElements(To, From)));
+  for (int64_t R = 0; R < 4; ++R)
+    for (int64_t C = 0; C < 6; ++C)
+      EXPECT_EQ(Dst.at({R + 2, C + 1}), quantizeFp16(Src.at({R, C})));
+
+  TensorView Short(Dst, SubTensor::rect(Shape({2, 2}), {0, 0}));
+  EXPECT_FALSE(bool(copyElements(Short, From)));
 }
