@@ -38,9 +38,12 @@ constexpr float AbsTol = 1e-5f;
 
 /// Runs \p Compiled both ways on identical inputs and compares every
 /// entry buffer (outputs and inputs — the lowering must not clobber
-/// arguments the functional path leaves alone).
+/// arguments the functional path leaves alone). \p Expected pins the
+/// lowered schedule exactly: the agent machine is deterministic, so any
+/// change to instance expansion, ownership, or readiness moves a count.
 void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
-                             KernelBuffers &&Lowered) {
+                             KernelBuffers &&Lowered,
+                             const LoweredStats &Expected) {
   ASSERT_NE(C.Kernel, nullptr) << C.Error;
 
   ErrorOr<SimResult> Ref = C.Kernel->runFunctional(Functional.ptrs());
@@ -51,8 +54,10 @@ void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
       runCpuLowered(C.Kernel->module(), LeafRegistry::sharedBuiltins(),
                     Lowered.ptrs());
   ASSERT_TRUE(Stats) << (Stats ? "" : Stats.diagnostic().message());
-  EXPECT_GT(Stats->Blocks, 0);
-  EXPECT_GT(Stats->Instances, 0);
+  EXPECT_EQ(Stats->Blocks, Expected.Blocks);
+  EXPECT_EQ(Stats->Agents, Expected.Agents);
+  EXPECT_EQ(Stats->Instances, Expected.Instances);
+  EXPECT_EQ(Stats->Stalls, Expected.Stalls);
 
   for (size_t I = 0; I < Functional.Data.size(); ++I)
     EXPECT_EQ("", compareTensors(Lowered.Data[I], Functional.Data[I],
@@ -69,7 +74,8 @@ void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
 TEST(BackendExec, GemmMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          {4, 3, 56, 16});
 }
 
 TEST(BackendExec, GemmDeepPipelineMatchesFunctional) {
@@ -79,7 +85,8 @@ TEST(BackendExec, GemmDeepPipelineMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Config.K = 256;
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          {4, 3, 88, 36});
 }
 
 TEST(BackendExec, BatchedGemmMatchesFunctional) {
@@ -87,34 +94,35 @@ TEST(BackendExec, BatchedGemmMatchesFunctional) {
   Config.L = 2;
   Compiled C = compileBatchedGemm(Config);
   expectDifferentialMatch(C, batchedGemmInputs(Config),
-                          batchedGemmInputs(Config));
+                          batchedGemmInputs(Config), {8, 3, 112, 32});
 }
 
 TEST(BackendExec, AttentionFa2MatchesFunctional) {
   AttentionConfig Config = smallAttentionConfig(/*StageScores=*/false);
   Compiled C = compileAttention(Config);
   expectDifferentialMatch(C, attentionInputs(Config),
-                          attentionInputs(Config));
+                          attentionInputs(Config), {4, 4, 328, 144});
 }
 
 TEST(BackendExec, AttentionFa3MatchesFunctional) {
   AttentionConfig Config = smallAttentionConfig(/*StageScores=*/true);
   Compiled C = compileAttention(Config);
   expectDifferentialMatch(C, attentionInputs(Config),
-                          attentionInputs(Config));
+                          attentionInputs(Config), {4, 4, 400, 208});
 }
 
 TEST(BackendExec, DualGemmMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileDualGemm(Config);
   expectDifferentialMatch(C, dualGemmInputs(Config),
-                          dualGemmInputs(Config));
+                          dualGemmInputs(Config), {4, 3, 64, 16});
 }
 
 TEST(BackendExec, GemmReductionMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileGemmRed(Config);
-  expectDifferentialMatch(C, gemmRedInputs(Config), gemmRedInputs(Config));
+  expectDifferentialMatch(C, gemmRedInputs(Config), gemmRedInputs(Config),
+                          {4, 3, 96, 16});
 }
 
 TEST(BackendExec, NonWarpSpecializedMatchesFunctional) {
@@ -125,7 +133,8 @@ TEST(BackendExec, NonWarpSpecializedMatchesFunctional) {
   Config.Pipe = 1;
   Config.WarpSpecialize = false;
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          {4, 3, 56, 12});
 }
 
 //===----------------------------------------------------------------------===//
