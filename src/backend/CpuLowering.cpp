@@ -6,99 +6,36 @@
 ///
 /// \file
 /// The differential backstop for the CUDA emitter (see CpuLowering.h). The
-/// interpreter deliberately mirrors the *structure* the emitter prints —
-/// per-agent instruction streams advanced in order, event waits resolved
-/// against completed (event, warpgroup, iteration) keys — rather than
-/// reusing the functional executor's program-order walk, so that a
-/// scheduling bug in warp specialization or pipelining shows up as either
-/// a deadlock or a wrong answer instead of being masked by shared code.
+/// block schedule — per-agent instance streams, ownership, precondition
+/// keying, pipeline-lag vacuity, warpgroup broadcast and loop-completion
+/// events — is the shared AgentSchedule model the timing simulator also
+/// runs on, so the emitted structure is defined once. What this file adds
+/// is execution: host-level program order, the allocation prologue, a
+/// round-robin drain of the agent streams that counts stalls and reports
+/// a schedule no agent can advance as a deadlock, and the data effects of
+/// each instance under an environment rebuilt from its coordinates.
 ///
-/// The agent-ownership and precondition-readiness rules are kept in lock
-/// step with the timing simulator's BlockTimer (src/sim/Simulator.cpp):
-///
-///  * agent 0 is the DMA warp, agents 1..W the compute warpgroups, and an
-///    op belongs to the DMA agent iff the grid is warp-specialized and the
-///    warp-spec pass tagged it;
-///  * ops with a warpgroup dimension run once per warpgroup (DMA-owned
-///    instances all land on agent 0, with their per-warpgroup
-///    preconditions still checked individually);
-///  * precondition keys are the consumer's iteration coordinates at the
-///    producer's loop depth; pipeline lag subtracts from the innermost
-///    coordinate and is vacuously satisfied for the first LAG iterations;
-///  * a `for` op's completion event becomes available when every body
-///    instance of that loop instance has executed;
-///  * `for` preconditions gate through their body instances' edges (both
-///    agents enter the loop header freely), matching the simulator.
-///
-/// Data effects reuse only the module-level slice resolution; storage
-/// management and the copy/call element loops are written independently of
-/// FunctionalExec so the two executors do not share bugs.
+/// Data effects reuse only the module-level slice resolution and the
+/// element-copy helper; storage management and the copy/call dispatch are
+/// written independently of FunctionalExec, which ignores agents and runs
+/// the block body in program order, so the differential test still
+/// compares two genuinely different executions.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/CpuLowering.h"
 
+#include "sim/AgentSchedule.h"
 #include "sim/TensorView.h"
 #include "support/Format.h"
 
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
-#include <tuple>
-#include <unordered_map>
 
 using namespace cypress;
 
 namespace {
-
-/// Warpgroup replication count of an op (1 when it has no warpgroup dim).
-int64_t warpgroupExtent(const Operation &Op) {
-  for (const EventDim &Dim : Op.VecContext)
-    if (Dim.Proc == Processor::Warpgroup)
-      return Dim.Extent;
-  return 1;
-}
-
-bool hasWarpgroupDim(const Operation &Op) {
-  for (const EventDim &Dim : Op.VecContext)
-    if (Dim.Proc == Processor::Warpgroup)
-      return true;
-  return false;
-}
-
-/// One precondition of one instance with the warpgroup index expression
-/// already evaluated (it depends only on the instance's environment).
-struct PrecondDesc {
-  EventId Event = InvalidEventId;
-  int64_t IterLag = 0;
-  int32_t WantWg = -1; ///< Concrete warpgroup index; -1 when not indexed.
-  bool Broadcast = false;
-};
-
-/// One executable op instance in an agent's stream.
-struct Instance {
-  const Operation *Op = nullptr;
-  int32_t Wg = -1; ///< Warpgroup replica; -1 for unreplicated ops.
-  std::vector<int64_t> Coords;   ///< Enclosing sequential-loop iterations.
-  std::vector<uint32_t> Loops;   ///< Enclosing loop-instance slots.
-  std::vector<PrecondDesc> Preconds;
-  ScalarEnv Env; ///< Loop vars and processor indices at expansion.
-};
-
-/// One instantiation of a `for` op: counts outstanding body instances so
-/// the loop's completion event can be registered when the last finishes.
-struct LoopInst {
-  int64_t Remaining = 0;
-  EventId Event = InvalidEventId;
-};
-
-/// Static per-event facts, mirroring BlockTimer's EventRec.
-struct EventInfo {
-  bool Known = false;        ///< Produced inside the current grid body.
-  bool WgReplicated = false; ///< Producer has a warpgroup dimension.
-  uint32_t Depth = 0;        ///< Producer's enclosing sequential-loop count.
-};
 
 /// Storage key of one tensor instance: the processor indices named by the
 /// tensor's alloc context (at most one per machine level).
@@ -109,7 +46,8 @@ public:
   CpuLowered(const IRModule &Module, const LeafRegistry &Leaves,
              const std::vector<TensorData *> &EntryBuffers,
              const Cancellation *Cancel)
-      : Module(Module), Leaves(Leaves), EntryBuffers(EntryBuffers) {
+      : Module(Module), Leaves(Leaves), EntryBuffers(EntryBuffers),
+        Cancel(Cancel) {
     if (Cancel)
       Check = CancelCheck(*Cancel);
   }
@@ -199,188 +137,16 @@ private:
         execAlloc(Op, BlockEnv);
     });
 
-    int64_t Wgs = 1;
-    walkOps(Grid.Body, [&](const Operation &Op) {
-      Wgs = std::max(Wgs, warpgroupExtent(Op));
-    });
-    NumAgents = 1 + static_cast<size_t>(Wgs);
-    Stats.Agents = std::max<int64_t>(Stats.Agents,
-                                     static_cast<int64_t>(NumAgents));
-
-    Events.assign(Module.numEvents(), EventInfo());
-    Done.clear();
-    Loops.clear();
-    Streams.assign(NumAgents, {});
-    Cursor.assign(NumAgents, 0);
-    Insts.clear();
-    GridWarpSpec = Grid.WarpSpecialize;
-
-    walkOps(Grid.Body, [&](const Operation &Op) {
-      if (Op.Result == InvalidEventId)
-        return;
-      Events[Op.Result].Known = true;
-      Events[Op.Result].WgReplicated = hasWarpgroupDim(Op);
-    });
-
-    CoordStack.clear();
-    LoopPath.clear();
-    expandBlock(Grid.Body, BlockEnv);
-    if (Failure)
+    if (ErrorOrVoid Built = Model.build(Module, Grid, BlockEnv,
+                                        "lowered-execution", Cancel);
+        !Built) {
+      fail(Built.diagnostic());
       return;
-    schedule();
-  }
-
-  /// Unrolls the block body into per-agent instruction streams, evaluating
-  /// everything iteration-dependent (loop variables, warpgroup index
-  /// expressions) at unroll time.
-  void expandBlock(const IRBlock &Block, ScalarEnv Env) {
-    for (const std::unique_ptr<Operation> &Op : Block.Ops) {
-      if (Failure)
-        return;
-      switch (Op->Kind) {
-      case OpKind::Alloc:
-      case OpKind::MakePart:
-        break; // Prologue territory.
-      case OpKind::PFor:
-        fail("nested parallel loops must be flattened before lowering");
-        return;
-      case OpKind::For: {
-        if (Op->Result != InvalidEventId)
-          Events[Op->Result].Depth =
-              static_cast<uint32_t>(CoordStack.size());
-        int64_t Lo = Op->LoopLo.evaluate(Env);
-        int64_t Hi = Op->LoopHi.evaluate(Env);
-        uint32_t LI = static_cast<uint32_t>(Loops.size());
-        Loops.push_back({0, Op->Result});
-        LoopPath.push_back(LI);
-        for (int64_t K = Lo; K < Hi; ++K) {
-          Env.LoopVars[Op->LoopVar] = K;
-          CoordStack.push_back(K);
-          expandBlock(Op->Body, Env);
-          CoordStack.pop_back();
-        }
-        Env.LoopVars.erase(Op->LoopVar);
-        LoopPath.pop_back();
-        break;
-      }
-      case OpKind::Copy:
-      case OpKind::Call: {
-        if (Check.enabled() && Check.shouldStop()) {
-          fail(Check.diagnostic("lowered-execution unroll"));
-          return;
-        }
-        if (Op->Result != InvalidEventId)
-          Events[Op->Result].Depth =
-              static_cast<uint32_t>(CoordStack.size());
-        bool Dma = GridWarpSpec && Op->DmaAgent;
-        if (hasWarpgroupDim(*Op)) {
-          for (int64_t Wg = 0; Wg < warpgroupExtent(*Op); ++Wg)
-            pushInstance(*Op, Env, Wg,
-                         Dma ? 0 : 1 + static_cast<size_t>(Wg));
-        } else {
-          pushInstance(*Op, Env, -1, Dma ? 0 : 1);
-        }
-        break;
-      }
-      }
     }
-  }
-
-  void pushInstance(const Operation &Op, const ScalarEnv &Env, int64_t Wg,
-                    size_t Agent) {
-    Instance Inst;
-    Inst.Op = &Op;
-    Inst.Wg = static_cast<int32_t>(Wg);
-    Inst.Coords = CoordStack;
-    Inst.Loops = LoopPath;
-    Inst.Env = Env;
-    Inst.Env.ProcIndices[Processor::Warpgroup] = std::max<int64_t>(Wg, 0);
-
-    for (uint32_t LI : LoopPath)
-      ++Loops[LI].Remaining;
-
-    for (const EventRef &Ref : Op.Preconds) {
-      PrecondDesc P;
-      P.Event = Ref.Event;
-      P.IterLag = Ref.IterLag;
-      if (Ref.Event < Events.size() && Events[Ref.Event].Known) {
-        const EventType &Type = Module.event(Ref.Event).Type;
-        for (size_t D = 0; D < Ref.Indices.size() && D < Type.Dims.size();
-             ++D) {
-          if (Type.Dims[D].Proc == Processor::Warpgroup) {
-            if (Ref.Indices[D].isBroadcast())
-              P.Broadcast = true;
-            else
-              P.WantWg = static_cast<int32_t>(
-                  Ref.Indices[D].Index.evaluate(Inst.Env));
-          } else if (Ref.Indices[D].isBroadcast()) {
-            P.Broadcast = true;
-          }
-        }
-      }
-      Inst.Preconds.push_back(P);
-    }
-
-    Insts.push_back(std::move(Inst));
-    Streams[Agent].push_back(static_cast<uint32_t>(Insts.size() - 1));
-  }
-
-  //===--- Scheduling ------------------------------------------------------===//
-
-  /// Completed-event key: (event, warpgroup slot, producer-depth coords).
-  using DoneKey = std::tuple<EventId, int32_t, std::vector<int64_t>>;
-
-  /// True when the (event, wg, prefix-with-lag) instance has completed.
-  bool isDone(const EventInfo &Rec, EventId Event, int32_t Wg,
-              const std::vector<int64_t> &Coords, uint32_t KeyLen,
-              int64_t Last) const {
-    // Producers register keys at their own depth; a shorter consumer
-    // prefix can never match (same rule as the simulator).
-    if (KeyLen != Rec.Depth)
-      return false;
-    std::vector<int64_t> Key(Coords.begin(), Coords.begin() + KeyLen);
-    if (KeyLen)
-      Key[KeyLen - 1] = Last;
-    return Done.count(DoneKey(Event, Wg, std::move(Key))) != 0;
-  }
-
-  bool precondsReady(const Instance &Inst) const {
-    for (const PrecondDesc &P : Inst.Preconds) {
-      if (P.Event >= Events.size())
-        continue; // Reference outside the module: ready.
-      const EventInfo &Rec = Events[P.Event];
-      if (!Rec.Known)
-        continue; // Host-level event: completed before launch.
-
-      uint32_t KeyLen = std::min<uint32_t>(
-          static_cast<uint32_t>(Inst.Coords.size()), Rec.Depth);
-      int64_t Last = KeyLen ? Inst.Coords[KeyLen - 1] : 0;
-      if (P.IterLag > 0) {
-        if (KeyLen == 0)
-          continue; // Lag at depth zero: vacuously satisfied.
-        Last -= P.IterLag;
-        if (Last < 0)
-          continue; // First PIPE iterations: buffer not yet reused.
-      }
-
-      if (Rec.WgReplicated) {
-        if (P.WantWg >= 0 && !P.Broadcast) {
-          if (!isDone(Rec, P.Event, P.WantWg, Inst.Coords, KeyLen, Last))
-            return false;
-        } else {
-          // Broadcast: every warpgroup instance must have completed.
-          for (int64_t Wg = 0; Wg + 1 < static_cast<int64_t>(NumAgents);
-               ++Wg)
-            if (!isDone(Rec, P.Event, static_cast<int32_t>(Wg), Inst.Coords,
-                        KeyLen, Last))
-              return false;
-        }
-      } else {
-        if (!isDone(Rec, P.Event, -1, Inst.Coords, KeyLen, Last))
-          return false;
-      }
-    }
-    return true;
+    Stats.Agents = std::max<int64_t>(Stats.Agents,
+                                     static_cast<int64_t>(Model.numAgents()));
+    ExecEnv = BlockEnv;
+    drain();
   }
 
   /// Round-robin over agents: each runs until its next instruction blocks
@@ -388,14 +154,19 @@ private:
   /// compiled schedule could not execute on hardware either. The cancel
   /// checkpoint sits after the deadlock check: a genuinely stuck schedule
   /// always reports the deadlock diagnostic, never a deadline.
-  void schedule() {
+  void drain() {
+    size_t NumAgents = Model.numAgents();
+    Cursor.assign(NumAgents, 0);
     while (true) {
       bool Progress = false;
       bool Pending = false;
       for (size_t Agent = 0; Agent < NumAgents && !Failure; ++Agent) {
-        while (Cursor[Agent] < Streams[Agent].size()) {
-          const Instance &Inst = Insts[Streams[Agent][Cursor[Agent]]];
-          if (!precondsReady(Inst)) {
+        const std::vector<uint32_t> &Stream = Model.stream(Agent);
+        while (Cursor[Agent] < Stream.size()) {
+          const AgentSchedule::InstRec &Inst =
+              Model.inst(Stream[Cursor[Agent]]);
+          double WaitTime;
+          if (!Model.ready(Inst, /*BarrierCost=*/0.0, WaitTime)) {
             ++Stats.Stalls;
             break;
           }
@@ -403,7 +174,7 @@ private:
           ++Cursor[Agent];
           Progress = true;
         }
-        Pending = Pending || Cursor[Agent] < Streams[Agent].size();
+        Pending = Pending || Cursor[Agent] < Stream.size();
       }
       if (Failure || !Pending)
         return;
@@ -415,28 +186,39 @@ private:
         continue;
       }
       for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
-        if (Cursor[Agent] >= Streams[Agent].size())
+        if (Cursor[Agent] >= Model.stream(Agent).size())
           continue;
-        const Instance &Inst = Insts[Streams[Agent][Cursor[Agent]]];
+        const Operation &Op =
+            *Model.inst(Model.stream(Agent)[Cursor[Agent]]).Op;
         fail(formatString(
             "lowered-execution deadlock: agent %zu blocked at %s "
             "(event producer missing or never scheduled)",
-            Agent,
-            Inst.Op->Kind == OpKind::Copy
-                ? "copy"
-                : Inst.Op->Callee.c_str()));
+            Agent, Op.Kind == OpKind::Copy ? "copy" : Op.Callee.c_str()));
         return;
       }
     }
   }
 
-  void executeInstance(const Instance &Inst) {
-    const Operation &Op = *Inst.Op;
+  /// Runs one instance's data effects, then records its completion (the
+  /// lowering only needs presence, so every completion value is zero).
+  void executeInstance(const AgentSchedule::InstRec &Inst) {
     ++Stats.Instances;
+    // Rebind the instance's environment: the enclosing loops' variables
+    // from its coordinates, the warpgroup index from its replica. Other
+    // bindings may be stale; the verifier guarantees expressions only
+    // reference in-scope variables.
+    const AgentSchedule::OpRec &Rec = Model.op(Inst.OpIdx);
+    const uint32_t *Chain = Model.chain(Rec);
+    const int64_t *Coords = Model.coords(Inst);
+    for (uint32_t D = 0; D < Inst.Depth; ++D)
+      ExecEnv.LoopVars[Model.op(Chain[D]).Op->LoopVar] = Coords[D];
+    ExecEnv.ProcIndices[Processor::Warpgroup] =
+        std::max<int64_t>(Inst.Wg, 0);
 
     // Enumerate the sub-warpgroup processor dims (warps/threads); the
     // warpgroup dim, when present, is pinned to this instance's replica.
-    forEachProcInstance(Op.VecContext, Inst.Env,
+    const Operation &Op = *Inst.Op;
+    forEachProcInstance(Op.VecContext, ExecEnv,
                         [&](const ScalarEnv &E) {
                           if (Op.Kind == OpKind::Copy)
                             execCopy(Op, E);
@@ -446,25 +228,7 @@ private:
                         /*PinnedWg=*/Inst.Wg);
     if (Failure)
       return;
-
-    if (Op.Result != InvalidEventId) {
-      uint32_t KeyLen = static_cast<uint32_t>(Inst.Coords.size());
-      std::vector<int64_t> Key(Inst.Coords.begin(),
-                               Inst.Coords.begin() + KeyLen);
-      Done.insert(DoneKey(Op.Result, Inst.Wg, std::move(Key)));
-    }
-
-    // Credit completion to every enclosing loop instance; the last body
-    // instance of a loop instance releases the loop's completion event at
-    // the loop's own depth (warpgroup slot -1).
-    for (uint32_t D = 0; D < Inst.Loops.size(); ++D) {
-      LoopInst &Loop = Loops[Inst.Loops[D]];
-      if (--Loop.Remaining == 0 && Loop.Event != InvalidEventId) {
-        std::vector<int64_t> Key(Inst.Coords.begin(),
-                                 Inst.Coords.begin() + D);
-        Done.insert(DoneKey(Loop.Event, -1, std::move(Key)));
-      }
-    }
+    Model.complete(Inst, 0.0);
   }
 
   //===--- Data effects ----------------------------------------------------===//
@@ -585,6 +349,7 @@ private:
   const IRModule &Module;
   const LeafRegistry &Leaves;
   const std::vector<TensorData *> &EntryBuffers;
+  const Cancellation *Cancel;
   CancelCheck Check; ///< Inert (enabled() == false) without a Cancellation.
   LoweredStats Stats;
   std::optional<Diagnostic> Failure;
@@ -594,16 +359,9 @@ private:
   std::vector<std::map<StorageKey, std::vector<TensorData>>> Storage;
 
   // Per-grid agent machine state.
-  size_t NumAgents = 0;
-  bool GridWarpSpec = false;
-  std::vector<EventInfo> Events;
-  std::set<DoneKey> Done;
-  std::vector<LoopInst> Loops;
-  std::vector<Instance> Insts;
-  std::vector<std::vector<uint32_t>> Streams;
+  AgentSchedule Model;
   std::vector<size_t> Cursor;
-  std::vector<int64_t> CoordStack;
-  std::vector<uint32_t> LoopPath;
+  ScalarEnv ExecEnv; ///< Environment of the executing instance.
 };
 
 } // namespace

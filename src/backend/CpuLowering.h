@@ -10,13 +10,15 @@
 /// element-wise, calls the LeafRegistry scalar reference leaves, and
 /// resolves the warp-specialized agent split and its barriers sequentially.
 ///
-/// Where `runFunctional` (src/sim) ignores agents entirely and executes the
-/// block body in program order, this lowering reproduces the emitted
-/// kernel's control structure: one DMA agent plus one agent per compute
+/// Each block runs on the agent schedule the timing simulator also uses
+/// (sim/AgentSchedule.h): one DMA agent plus one agent per compute
 /// warpgroup, each advancing through its own instruction stream in order
-/// and blocking on unresolved event preconditions exactly as the timing
-/// simulator's BlockTimer does (same ownership rule, same precondition
-/// keying, same pipeline-lag vacuity, same loop-completion events). Running
+/// and blocking on unresolved event preconditions under the model's
+/// ownership, keying, pipeline-lag and loop-completion rules. The lowering
+/// drains those streams round-robin and attaches the data effects.
+///
+/// `runFunctional` (src/sim) ignores agents entirely and executes the block
+/// body in program order, with its own storage and dispatch code. Running
 /// both executors over shared inputs and comparing outputs is the repo's
 /// offline differential check that the emitted schedule computes the same
 /// function as the task program (tests/BackendExecTest.cpp).

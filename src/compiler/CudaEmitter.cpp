@@ -33,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Passes.h"
+#include "sim/AgentSchedule.h"
 #include "support/Format.h"
 
 #include <functional>
@@ -46,9 +47,7 @@ namespace {
 int64_t numWarpgroups(const IRBlock &Body) {
   int64_t Count = 1;
   walkOps(Body, [&](const Operation &Op) {
-    for (const EventDim &Dim : Op.VecContext)
-      if (Dim.Proc == Processor::Warpgroup)
-        Count = std::max(Count, Dim.Extent);
+    Count = std::max(Count, warpgroupExtent(Op));
   });
   return Count;
 }
@@ -143,17 +142,17 @@ private:
     return Params;
   }
 
-  /// Agent ownership mirrors the simulator's BlockTimer: the DMA split only
-  /// exists when the grid's mapping requested warp specialization.
+  /// True when \p Op runs on the DMA agent, by the agent schedule's
+  /// ownership rule (sim/AgentSchedule.h).
   bool opAgent(const Operation &Op) const {
-    return GridWarpSpec && Op.DmaAgent;
+    return ownedByDmaAgent(*GridOp, Op);
   }
 
   void emitKernel(const Operation &Grid) {
     ++Stats.Kernels;
     Barriers.clear();
     ProducerAgent.clear();
-    GridWarpSpec = Grid.WarpSpecialize;
+    GridOp = &Grid;
     collectCrossAgentEvents(Grid);
     Stats.Mbarriers += static_cast<int64_t>(Barriers.size());
 
@@ -271,7 +270,7 @@ private:
           continue;
         if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor) {
           // Both agents execute the loop header; the producer's peer waits.
-          if (GridWarpSpec)
+          if (Grid.WarpSpecialize)
             AddBarrier(Ref.Event);
         } else if (It->second != opAgent(Op)) {
           AddBarrier(Ref.Event);
@@ -460,7 +459,7 @@ private:
   std::map<EventId, bool> ProducerAgent;
   std::vector<std::string> LoopStack; ///< Enclosing loop-variable names.
   int64_t Wgs = 1;
-  bool GridWarpSpec = false;
+  const Operation *GridOp = nullptr; ///< Block-level loop being emitted.
 };
 
 } // namespace

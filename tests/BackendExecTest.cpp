@@ -13,16 +13,22 @@
 /// divergence means warp specialization or pipelining produced a schedule
 /// that computes something other than the task program.
 ///
-/// Also pins the harness itself: two lowered runs must be bit-identical
-/// (the agent scheduler is deterministic), and an injected corruption must
-/// make the differ fail (the comparison actually compares).
+/// Each family also pins the lowered schedule's exact LoweredStats. The
+/// harness itself is pinned too: two lowered runs must be bit-identical
+/// (the agent scheduler is deterministic), an injected corruption must
+/// make the differ fail (the comparison actually compares), and a
+/// hand-built unexecutable schedule must surface as a deadlock in both
+/// the lowering and the timing simulator.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/CpuLowering.h"
 #include "TestKernels.h"
+#include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace cypress;
 using namespace cypress::testkernels;
@@ -194,4 +200,51 @@ TEST(BackendExec, StatsReflectWarpSpecialization) {
   // The DMA agent runs ahead of compute, so it must have stalled at least
   // once on the pipeline's backward (lag) edges.
   EXPECT_GT(Stats->Stalls, 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Deadlock diagnostics
+//===----------------------------------------------------------------------===//
+
+TEST(BackendExec, UnexecutableScheduleDeadlocksBothExecutors) {
+  // One block whose first compute instance waits, with no lag, on an event
+  // the next instruction of the same warpgroup stream produces: no agent
+  // can ever advance. Both executors of the agent schedule must report the
+  // deadlock instead of spinning or running the consumer early (the
+  // unregistered callees would fail differently if either ran).
+  IRModule Module;
+  EventId Late = Module.addEvent("late", EventType{});
+
+  auto Grid = std::make_unique<Operation>();
+  Grid->Kind = OpKind::PFor;
+  Grid->Id = Module.freshOpId();
+  Grid->LoopVar = Module.freshLoopVar();
+  Grid->LoopHi = ScalarExpr(1);
+  Grid->PForProc = Processor::Block;
+  Grid->WarpSpecialize = true;
+  auto AppendCall = [&](const char *Callee) -> Operation & {
+    auto Op = std::make_unique<Operation>();
+    Op->Kind = OpKind::Call;
+    Op->Id = Module.freshOpId();
+    Op->Callee = Callee;
+    Grid->Body.Ops.push_back(std::move(Op));
+    return *Grid->Body.Ops.back();
+  };
+  AppendCall("consumer").Preconds.push_back(EventRef::unit(Late));
+  AppendCall("producer").Result = Late;
+  Module.root().Ops.push_back(std::move(Grid));
+
+  ErrorOr<LoweredStats> Lowered =
+      runCpuLowered(Module, LeafRegistry::sharedBuiltins(), {});
+  ASSERT_FALSE(Lowered);
+  EXPECT_NE(Lowered.diagnostic().message().find("lowered-execution deadlock"),
+            std::string::npos)
+      << Lowered.diagnostic().message();
+
+  ErrorOr<SimResult> Timed = simulate(Module, SharedAllocation(), SimConfig(),
+                                      LeafRegistry::sharedBuiltins());
+  ASSERT_FALSE(Timed);
+  EXPECT_NE(Timed.diagnostic().message().find("simulation deadlock"),
+            std::string::npos)
+      << Timed.diagnostic().message();
 }
