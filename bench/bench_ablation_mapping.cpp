@@ -53,8 +53,9 @@ int main() {
   CompilerSession Session;
   Tuner Tuner(Session);
   auto SweepGemm = [&](const std::string &Axis, std::vector<int64_t> Values) {
-    return Tuner.tune(gemmSearchSpec(Gemm, {{Axis, std::move(Values)}}),
-                      MachineModel::h100(), Sim);
+    return Tuner.tuneBudgeted(
+        gemmSearchSpec(Gemm, {{Axis, std::move(Values)}}),
+        MachineModel::h100(), TuneBudget(), Sim);
   };
 
   {
@@ -79,9 +80,9 @@ int main() {
   {
     Table T("Ablation: Attention 8192 staged scores (FA2 -> FA3)", "Variant",
             {"Cypress"});
-    TuneResult R = Tuner.tune(
+    TuneResult R = Tuner.tuneBudgeted(
         attentionSearchSpec(fa2Config(8192), {{"STAGE", {0, 1}}}),
-        MachineModel::h100(), Sim);
+        MachineModel::h100(), TuneBudget(), Sim);
     for (bool Stage : {false, true})
       T.row(Stage ? "staged (FA3)" : "direct (FA2)",
             {tflopsAt(R, "STAGE", Stage ? 1 : 0)});

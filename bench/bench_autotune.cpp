@@ -37,7 +37,8 @@ SweepReport runSweep(Tuner &Tuner, CompilerSession &Session,
                      const KernelSearchSpec &Spec, const SimConfig &Sim) {
   SweepReport Report;
   CacheStats Before = Session.cacheStats();
-  Report.Result = Tuner.tune(Spec, MachineModel::h100(), Sim);
+  Report.Result =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Sim);
   CacheStats After = Session.cacheStats();
   Report.SessionDelta.Hits = After.Hits - Before.Hits;
   Report.SessionDelta.Misses = After.Misses - Before.Misses;

@@ -13,8 +13,9 @@
 ///     as a table on startup and, when CYPRESS_BENCH_JSON is set, written
 ///     to `BENCH_compile_time.json` (schema in docs/BENCHMARKS.md).
 ///
-///  2. google-benchmark microbenchmarks of `compileToIR` and individual
-///     stages, for statistically robust totals.
+///  2. google-benchmark microbenchmarks of the default pipeline
+///     (`PassPipeline::defaultPipeline().run`) and individual stages, for
+///     statistically robust totals.
 ///
 /// Compilation happens once per kernel instantiation, so these times bound
 /// the model's static-compilation overhead.
@@ -242,7 +243,7 @@ void BM_CompileGemmFull(benchmark::State &State) {
   std::vector<TensorType> Args;
   CompileInput Input = gemmInput(Registry, Mapping, Args);
   for (auto _ : State) {
-    ErrorOr<IRModule> Module = compileToIR(Input);
+    ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
     benchmark::DoNotOptimize(&Module);
   }
 }
@@ -299,7 +300,7 @@ void BM_CompileAttentionFull(benchmark::State &State) {
   std::vector<TensorType> Args = attentionArgTypes(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(), Args};
   for (auto _ : State) {
-    ErrorOr<IRModule> Module = compileToIR(Input);
+    ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
     benchmark::DoNotOptimize(&Module);
   }
 }
@@ -314,7 +315,8 @@ void BM_SimulateGemmTiming(benchmark::State &State) {
   std::vector<TensorType> Args = gemmArgTypes(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(), Args};
   SharedAllocation Alloc;
-  ErrorOr<IRModule> Module = compileToIR(Input, &Alloc);
+  ErrorOr<IRModule> Module =
+      PassPipeline::defaultPipeline().run(Input, &Alloc);
   LeafRegistry Leaves = LeafRegistry::builtins();
   SimConfig Sim;
   for (auto _ : State) {

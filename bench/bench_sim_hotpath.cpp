@@ -139,8 +139,9 @@ int main() {
     CompilerSession Session;
     Tuner SweepTuner(Session);
     Clock::time_point SweepStart = Clock::now();
-    TuneResult Result = SweepTuner.tune(gemmSearchSpec(Base, gemmSweepAxes()),
-                                        MachineModel::h100());
+    TuneResult Result = SweepTuner.tuneBudgeted(
+        gemmSearchSpec(Base, gemmSweepAxes()), MachineModel::h100(),
+        TuneBudget());
     double Millis = millisSince(SweepStart);
     if (Attempt == 0)
       continue; // Warmup: first sweep pays first-touch page faults.

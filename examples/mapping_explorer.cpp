@@ -16,10 +16,11 @@
 /// or shared-memory overflow) are pruned statically from the
 /// MachineModel's capacities before the pass pipeline runs — decisions
 /// that in CUTLASS would require non-trivial code changes and in Triton
-/// are hard-coded heuristics. The summary line counts how many full
-/// pipeline runs the pruner and the session's kernel cache saved, and the
-/// closing lines show the same search against the 7.8*10^4-point guided
-/// space under a 64-evaluation budget.
+/// are hard-coded heuristics. The landscape lists the pruned grid points
+/// too, each with the reason it was rejected; the summary line counts how
+/// many full pipeline runs the pruner and the session's kernel cache
+/// saved, and the closing lines show the same search against the
+/// 7.8*10^4-point guided space under a 64-evaluation budget.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -97,6 +97,6 @@ int main() {
   std::printf("\n--- event IR (excerpt) ---\n%.1200s...\n",
               (*Kernel)->irDump().c_str());
   std::printf("\n--- generated CUDA (excerpt) ---\n%.1200s...\n",
-              (*Kernel)->cudaSource().c_str());
+              (*Kernel)->emitCuda().Source.c_str());
   return 0;
 }

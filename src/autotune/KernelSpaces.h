@@ -32,8 +32,7 @@ std::vector<TuningAxis> gemmSweepAxes();
 /// (0 = the loop depth), exec-unit assignment TMA_A/TMA_B, and the
 /// shared-memory occupancy cap SMEM in KiB (0 = machine capacity). The
 /// product is ~7.8 * 10^4 points, of which >= 10^4 are statically
-/// feasible on H100 — sized for tuneBudgeted, over tune()'s exhaustive
-/// cap by design.
+/// feasible on H100 — sized for tuneBudgeted's guided search.
 std::vector<TuningAxis> gemmGuidedAxes();
 
 /// A search over \p Axes around \p Base (fields not named by an axis keep

@@ -41,6 +41,10 @@ Tuner::Tuner(CompilerSession &Session) : Session(&Session) {}
 
 namespace {
 
+/// Spaces at most this big fall back from tuneBudgeted to an exhaustive
+/// sweep when the budget covers them.
+constexpr size_t SmallSpaceThreshold = 256;
+
 /// The simulator parameters participate in evaluation identity: the same
 /// kernel timed under a different machine calibration is a different cost.
 std::string simFingerprint(const SimConfig &Sim) {
@@ -269,56 +273,6 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
   return Rows;
 }
 
-TuneResult Tuner::tune(const KernelSearchSpec &Spec,
-                       const MachineModel &Machine, const SimConfig &Sim) {
-  MappingSpace Space(Spec, Machine);
-
-  TuneResult Result;
-  Result.Stats.Candidates = Space.size();
-  if (Space.size() > ExhaustiveCandidateCap) {
-    // Refuse rather than materialize: like the simulator's event-slot
-    // cap, a diagnostic beats an out-of-memory kill.
-    Result.Error = formatString(
-        "mapping space has %zu candidates, over the exhaustive sweep cap "
-        "of %zu; search it with tuneBudgeted() or raise "
-        "Tuner::ExhaustiveCandidateCap",
-        Space.size(), ExhaustiveCandidateCap);
-    return Result;
-  }
-
-  // One registry per kernel family, shared across sweeps: tuning only
-  // edits the mapping, never the logical description (Section 5.4), and a
-  // stable registry identity is what makes candidate cache keys stable.
-  TaskRegistry &Registry = registryFor(Spec);
-
-  std::vector<TuningPoint> Feasible;
-  std::vector<CandidateResult> PrunedRows;
-  for (const MappingSpace::Candidate &Cand : Space.candidates()) {
-    if (Cand.feasible()) {
-      Feasible.push_back(Cand.Point);
-      continue;
-    }
-    CandidateResult Row;
-    Row.Point = Cand.Point;
-    Row.Status = CandidateStatus::Pruned;
-    Row.Detail = Cand.Rejection->message();
-    PrunedRows.push_back(std::move(Row));
-  }
-  Result.Stats.Pruned = PrunedRows.size();
-
-  Result.Landscape =
-      evaluateBatch(Spec, Registry, Machine, Sim, simFingerprint(Sim),
-                    std::move(Feasible), CompileOptions(), Result.Stats);
-  Result.Landscape.reserve(Space.size());
-  for (CandidateResult &Row : PrunedRows)
-    Result.Landscape.push_back(std::move(Row));
-
-  Result.Stats.Session = Session->cacheStats();
-  Result.Partial = Result.Stats.Quarantined > 0;
-  rankLandscape(Result.Landscape);
-  return Result;
-}
-
 TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
                                const MachineModel &Machine,
                                const TuneBudget &Budget,
@@ -360,18 +314,28 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   };
 
   // Small space under a covering budget: brute force is affordable and
-  // strictly better than sampling, so sweep it. (feasibleCount is a full
+  // strictly better than sampling, so sweep it, listing every pruned point
+  // with its rejection after the evaluated rows. (feasibleCount is a full
   // scan — only taken on spaces already known to be small.)
   if (Space.size() <= SmallSpaceThreshold &&
       (Budget.MaxEvals == 0 || Budget.MaxEvals >= Space.feasibleCount())) {
     std::vector<TuningPoint> Feasible;
-    for (const MappingSpace::Candidate &Cand : Space.candidates())
-      if (Cand.feasible())
+    std::vector<CandidateResult> PrunedRows;
+    for (const MappingSpace::Candidate &Cand : Space.candidates()) {
+      if (Cand.feasible()) {
         Feasible.push_back(Cand.Point);
-    Result.Stats.Pruned = Space.prunedCount();
+        continue;
+      }
+      CandidateResult &Row = PrunedRows.emplace_back();
+      Row.Point = Cand.Point;
+      Row.Detail = Cand.Rejection->message();
+    }
+    Result.Stats.Pruned = PrunedRows.size();
     Result.Landscape =
         evaluateBatch(Spec, Registry, Machine, Sim, SimKey,
                       std::move(Feasible), Options, Result.Stats);
+    for (CandidateResult &Row : PrunedRows)
+      Result.Landscape.push_back(std::move(Row));
     Result.Stats.Rounds = 1;
     rankLandscape(Result.Landscape);
     Result.Curve.push_back({Result.Stats.Evals, BestTFlops(), ElapsedMs()});

@@ -23,8 +23,9 @@
 /// \code
 ///   CompilerSession Session;
 ///   Tuner Tuner(Session);
-///   TuneResult Result = Tuner.tune(gemmSearchSpec(Config, gemmSweepAxes()),
-///                                  MachineModel::h100());
+///   TuneResult Result = Tuner.tuneBudgeted(
+///       gemmSearchSpec(Config, gemmSweepAxes()), MachineModel::h100(),
+///       TuneBudget());
 ///   if (const CandidateResult *Best = Result.best())
 ///     std::printf("best: %s at %.1f TFLOP/s\n",
 ///                 Best->Point.str().c_str(), Best->TFlops);
@@ -80,15 +81,16 @@ struct CandidateResult {
   std::shared_ptr<const CompiledKernel> Kernel;
 };
 
-/// Search-effort accounting for one tune() / tuneBudgeted() call.
+/// Search-effort accounting for one tuneBudgeted() call.
 /// PipelinesRun is the number the acceptance bar cares about: full
 /// pass-pipeline executions, i.e. evaluations minus every flavor of cache
 /// hit.
 struct TuneStats {
   size_t Candidates = 0;    ///< Full cartesian-product size.
-  /// Rejected before compilation. For tune() this is the whole space's
-  /// pruned count; for a guided search it counts only the sampled points
-  /// that failed the static check (they consume no evaluation budget).
+  /// Rejected before compilation. For an exhaustive sweep this is the
+  /// whole space's pruned count; for a guided search it counts only the
+  /// sampled points that failed the static check (they consume no
+  /// evaluation budget).
   size_t Pruned = 0;
   size_t Evals = 0;         ///< Feasible candidates submitted for timing.
   size_t CostCacheHits = 0; ///< Evaluations replayed from the cost cache.
@@ -134,9 +136,10 @@ struct TuneBudget {
 
 /// The ranked landscape: evaluated candidates first, best TFLOP/s leading
 /// (ties keep enumeration order), then compile/sim errors, then pruned
-/// candidates, each group in enumeration order. A budgeted search's
-/// landscape holds only the points it visited (sampled-and-pruned points
-/// are counted in Stats.Pruned but not listed), and adds the
+/// candidates, each group in enumeration order. An exhaustive sweep lists
+/// every point of the space, pruned rows included; a guided search's
+/// landscape holds only the points it evaluated (sampled-and-pruned points
+/// are counted in Stats.Pruned but not listed). Both add the
 /// best-found-vs-budget curve.
 struct TuneResult {
   std::vector<CandidateResult> Landscape;
@@ -149,10 +152,6 @@ struct TuneResult {
     double ElapsedMs = 0.0;  ///< Wall clock since the search began.
   };
   std::vector<CurvePoint> Curve;
-
-  /// Set when the tuner refused to run: an exhaustive tune() over a space
-  /// larger than Tuner::ExhaustiveCandidateCap. The landscape is empty.
-  std::string Error;
 
   /// True when the search degraded gracefully instead of completing: the
   /// deadline expired or the cancel token fired (best-so-far landscape),
@@ -183,18 +182,6 @@ public:
   Tuner(const Tuner &) = delete;
   Tuner &operator=(const Tuner &) = delete;
 
-  /// Enumerates, prunes, compiles (concurrently, through the session),
-  /// and times every candidate of \p Spec on \p Machine.
-  ///
-  /// The tuner owns one TaskRegistry per Spec.KernelName, created by the
-  /// first tune() of that kernel and reused afterwards — the registry's
-  /// identity is part of every cache key, so this is what lets repeated or
-  /// overlapping sweeps hit the kernel cache and the cost cache instead of
-  /// recompiling. Specs sharing a KernelName must therefore register the
-  /// same task tree (true by construction for the KernelSpaces factories).
-  TuneResult tune(const KernelSearchSpec &Spec, const MachineModel &Machine,
-                  const SimConfig &Sim = SimConfig());
-
   /// Anytime search under \p Budget: spends the evaluation budget on
   /// shrinking rounds of batched evaluations (successive halving), seeding
   /// each round with single-axis mutations of the elite points found so
@@ -212,22 +199,20 @@ public:
   /// prefix of the unlimited one.
   ///
   /// Small spaces are swept exhaustively instead (no sampling noise where
-  /// brute force is affordable): when the space has at most
-  /// SmallSpaceThreshold points and the budget covers every feasible one.
+  /// brute force is affordable): when the space has at most 256 points
+  /// and the budget covers every feasible one.
+  ///
+  /// The tuner owns one TaskRegistry per Spec.KernelName (tuning edits
+  /// only the mapping, Section 5.4), created by the first search of that
+  /// kernel and reused afterwards. The registry's identity is part of
+  /// every cache key, so this is what lets repeated or overlapping
+  /// searches hit the kernel cache and the cost cache instead of
+  /// recompiling. Specs sharing a KernelName must therefore register the
+  /// same task tree (true by construction for the KernelSpaces factories).
   TuneResult tuneBudgeted(const KernelSearchSpec &Spec,
                           const MachineModel &Machine,
                           const TuneBudget &Budget,
                           const SimConfig &Sim = SimConfig());
-
-  /// tune() refuses spaces with more candidates than this, returning
-  /// TuneResult::Error instead of materializing the product (the analogue
-  /// of the simulator's event-slot cap): exhaustive sweeps over 10^5+
-  /// points are almost always a mistake — use tuneBudgeted().
-  size_t ExhaustiveCandidateCap = 1 << 16;
-
-  /// Spaces at most this big fall back from tuneBudgeted to an exhaustive
-  /// sweep when the budget covers them (see tuneBudgeted).
-  size_t SmallSpaceThreshold = 256;
 
   CompilerSession &session() { return *Session; }
 

@@ -471,10 +471,3 @@ std::string cypress::emitCudaSource(const IRModule &Module,
   Stats = CudaEmitStats();
   return CudaPrinter(Module, Alloc, KernelName, Stats).run();
 }
-
-std::string cypress::emitCudaSource(const IRModule &Module,
-                                    const SharedAllocation &Alloc,
-                                    const std::string &KernelName) {
-  CudaEmitStats Stats;
-  return emitCudaSource(Module, Alloc, KernelName, Stats);
-}

@@ -172,12 +172,3 @@ PassPipeline PassPipeline::defaultPipeline() {
   Pipeline.addPass(createWarpSpecializationPass());
   return Pipeline;
 }
-
-//===----------------------------------------------------------------------===//
-// compileToIR: the legacy single-call driver, now a pipeline wrapper
-//===----------------------------------------------------------------------===//
-
-ErrorOr<IRModule> cypress::compileToIR(const CompileInput &Input,
-                                       SharedAllocation *AllocOut) {
-  return PassPipeline::defaultPipeline().run(Input, AllocOut);
-}

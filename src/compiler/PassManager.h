@@ -12,10 +12,8 @@
 /// statistics into PipelineStats, and can dump the IR after every pass
 /// (set CYPRESS_PRINT_IR_AFTER_ALL, or call setPrintIRAfterAll).
 ///
-/// `compileToIR` in Passes.h is a thin wrapper over
-/// `PassPipeline::defaultPipeline()`, so existing callers keep working;
-/// new infrastructure (sessions, autotuning search, alternate backends)
-/// should build pipelines explicitly.
+/// `PassPipeline::defaultPipeline().run(Input)` is the one-call driver from
+/// a CompileInput to the final IRModule that the emitters consume.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,9 +168,9 @@ public:
                         const Cancellation *Cancel = nullptr) const;
 
   /// The Section 4.2 lowering pipeline: the five IR-to-IR stages with the
-  /// two repair helpers registered between them, in the order compileToIR
-  /// has always run them. Stage 6 (code generation) consumes the result
-  /// through emitCudaSource / the simulator and is not an IR pass.
+  /// two repair helpers registered between them. Stage 6 (code
+  /// generation) consumes the result through emitCudaSource / the
+  /// simulator and is not an IR pass.
   static PassPipeline defaultPipeline();
 
 private:

@@ -151,14 +151,6 @@ ErrorOr<SharedAllocation> runResourceAllocation(IRModule &Module,
 /// destination buffers from PIPE iterations ago.
 ErrorOrVoid runWarpSpecialization(IRModule &Module);
 
-/// Full pipeline through stage 5. The returned module is what the emitters
-/// (CUDA text, simulator program) consume. This is a thin wrapper over
-/// PassPipeline::defaultPipeline() (compiler/PassManager.h) — build a
-/// pipeline explicitly to control verification, collect PipelineStats, or
-/// register extra passes.
-ErrorOr<IRModule> compileToIR(const CompileInput &Input,
-                              SharedAllocation *AllocOut = nullptr);
-
 /// Counters describing one CUDA emission: how many synchronization
 /// constructs and op bodies the printer produced. Tests cross-check these
 /// against the post-pipeline IR (e.g. one mbarrier per cross-agent event),
@@ -181,11 +173,7 @@ struct CudaEmitStats {
 /// Stage 6a: prints warp-specialized CUDA C++ matching the structure of
 /// Figure 1b (mbarriers, TMA intrinsics, wgmma, named barriers). The text
 /// is golden-tested; it is not compiled in this environment (see docs/DESIGN.md
-/// substitutions). The second overload also fills \p Stats with emission
-/// counters.
-std::string emitCudaSource(const IRModule &Module,
-                           const SharedAllocation &Alloc,
-                           const std::string &KernelName);
+/// substitutions). \p Stats receives the emission counters.
 std::string emitCudaSource(const IRModule &Module,
                            const SharedAllocation &Alloc,
                            const std::string &KernelName,

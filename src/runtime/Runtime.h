@@ -101,9 +101,6 @@ public:
     return Emission;
   }
 
-  /// The generated warp-specialized CUDA C++ (structural artifact).
-  std::string cudaSource() const { return emitCuda().Source; }
-
   /// The IR in the paper's textual form (Figures 8/9).
   std::string irDump() const { return printModule(Module); }
 

@@ -423,11 +423,6 @@ bool CompilerSession::isCached(const CompileInput &Input) const {
   return Cache.count(Key) != 0;
 }
 
-size_t CompilerSession::cachedKernels() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Cache.size();
-}
-
 void CompilerSession::clearCache() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Cache.clear();

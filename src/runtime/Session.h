@@ -175,7 +175,7 @@ public:
   /// and safe to call concurrently with serving threads — they observe
   /// shed diagnostics, never crashes. After shutdown, compile/compileAll
   /// reject every request with a structured diagnostic; cache inspection
-  /// (stats, cachedKernels, isCached) still works.
+  /// (stats, cacheStats, isCached) still works.
   void shutdown(ShutdownMode Mode = ShutdownMode::Drain);
 
   /// False once shutdown() has begun; new requests are being shed.
@@ -203,7 +203,6 @@ public:
   /// attribute cache effectiveness to their own requests instead of
   /// diffing the global counters, which other threads may be advancing.
   bool isCached(const CompileInput &Input) const;
-  size_t cachedKernels() const;
   void clearCache();
 
 private:

@@ -188,9 +188,11 @@ TEST(Tuner, PrunedCandidatesNeverReachThePipeline) {
   KernelSearchSpec Spec = gemmSearchSpec(smallGemm(), smallAxes());
   MappingSpace Space(Spec, MachineModel::h100());
 
-  TuneResult Result = Tuner.tune(Spec, MachineModel::h100());
+  TuneResult Result =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
 
   ASSERT_EQ(Result.Stats.Candidates, 16u);
+  EXPECT_EQ(Result.Landscape.size(), Result.Stats.Candidates);
   EXPECT_EQ(Result.Stats.Pruned, Space.prunedCount());
   EXPECT_GT(Result.Stats.Pruned, 0u);
   // Every pipeline run the session saw came from a feasible candidate:
@@ -255,8 +257,9 @@ TEST(Tuner, RankedLandscapeMatchesBruteForceExhaustiveSweep) {
 
   CompilerSession Session;
   Tuner Tuner(Session);
-  TuneResult Result =
-      Tuner.tune(gemmSearchSpec(Base, smallAxes()), MachineModel::h100(), Sim);
+  TuneResult Result = Tuner.tuneBudgeted(gemmSearchSpec(Base, smallAxes()),
+                                         MachineModel::h100(), TuneBudget(),
+                                         Sim);
 
   const CandidateResult *Best = Result.best();
   ASSERT_NE(Best, nullptr);
@@ -277,11 +280,13 @@ TEST(Tuner, CostCacheReplaysRepeatedSweepsWithoutCompiling) {
   Tuner Tuner(Session);
   KernelSearchSpec Spec = gemmSearchSpec(smallGemm(), smallAxes());
 
-  TuneResult First = Tuner.tune(Spec, MachineModel::h100());
+  TuneResult First =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
   uint64_t MissesAfterFirst = Session.stats().Misses;
   ASSERT_GT(Tuner.costCacheSize(), 0u);
 
-  TuneResult Second = Tuner.tune(Spec, MachineModel::h100());
+  TuneResult Second =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
   EXPECT_EQ(Second.Stats.CostCacheHits,
             Second.Stats.Candidates - Second.Stats.Pruned);
   EXPECT_EQ(Second.Stats.PipelinesRun, 0u);
@@ -303,10 +308,12 @@ TEST(Tuner, DifferentSimConfigsDoNotShareCostEntries) {
       gemmSearchSpec(smallGemm(), {{"PIPE", {2}}});
 
   SimConfig Fast;
-  TuneResult First = Tuner.tune(Spec, MachineModel::h100(), Fast);
+  TuneResult First =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Fast);
   SimConfig Slow;
   Slow.TensorCoreFlopsPerCycle /= 2.0;
-  TuneResult Second = Tuner.tune(Spec, MachineModel::h100(), Slow);
+  TuneResult Second =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Slow);
 
   // The kernel compile is shared through the session, but the evaluation
   // is not: a different machine calibration is a different cost.
@@ -324,12 +331,12 @@ TEST(Tuner, OverlappingSweepsShareTheSessionKernelCache) {
 
   // PIPE=2 appears in both sweeps with identical full configs; the second
   // sweep's evaluation replays from the cost cache (same kernel, same sim).
-  TuneResult First =
-      Tuner.tune(gemmSearchSpec(Base, {{"PIPE", {1, 2}}}),
-                 MachineModel::h100());
-  TuneResult Second =
-      Tuner.tune(gemmSearchSpec(Base, {{"PIPE", {2, 3}}}),
-                 MachineModel::h100());
+  TuneResult First = Tuner.tuneBudgeted(
+      gemmSearchSpec(Base, {{"PIPE", {1, 2}}}), MachineModel::h100(),
+      TuneBudget());
+  TuneResult Second = Tuner.tuneBudgeted(
+      gemmSearchSpec(Base, {{"PIPE", {2, 3}}}), MachineModel::h100(),
+      TuneBudget());
   EXPECT_EQ(Second.Stats.CostCacheHits, 1u);
   EXPECT_EQ(Second.Stats.PipelinesRun, 1u);
 
@@ -337,9 +344,9 @@ TEST(Tuner, OverlappingSweepsShareTheSessionKernelCache) {
   EXPECT_EQ(Tuner.costCacheSize(), 0u);
   // With the cost cache cleared, the session's kernel cache still spares
   // the pipeline: all three depths are resident.
-  TuneResult Third =
-      Tuner.tune(gemmSearchSpec(Base, {{"PIPE", {1, 2, 3}}}),
-                 MachineModel::h100());
+  TuneResult Third = Tuner.tuneBudgeted(
+      gemmSearchSpec(Base, {{"PIPE", {1, 2, 3}}}), MachineModel::h100(),
+      TuneBudget());
   EXPECT_EQ(Third.Stats.PipelinesRun, 0u);
   EXPECT_EQ(Third.Stats.SessionHits, 3u);
 }
@@ -358,7 +365,8 @@ TEST(Tuner, CompileErrorsAreReportedWithPassProvenance) {
 
   CompilerSession Session;
   Tuner Tuner(Session);
-  TuneResult Result = Tuner.tune(Spec, MachineModel::h100());
+  TuneResult Result =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
   ASSERT_EQ(Result.Landscape.size(), 1u);
   EXPECT_EQ(Result.Landscape[0].Status, CandidateStatus::CompileError);
   EXPECT_NE(Result.Landscape[0].Detail.find("resource-allocation"),
@@ -547,7 +555,8 @@ TEST(Tuner, GuidedFindsLegacyBestWithHalfThePipelines) {
 
   CompilerSession ExhaustiveSession;
   Tuner Exhaustive(ExhaustiveSession);
-  TuneResult Full = Exhaustive.tune(Spec, MachineModel::h100());
+  TuneResult Full =
+      Exhaustive.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
   ASSERT_NE(Full.best(), nullptr);
 
   CompilerSession GuidedSession;
@@ -564,20 +573,34 @@ TEST(Tuner, GuidedFindsLegacyBestWithHalfThePipelines) {
 }
 
 TEST(Tuner, BudgetedFallsBackToExhaustiveOnSmallSpaces) {
-  // Spaces brute force can afford get brute force: same landscape and
-  // best as tune(), one round, full coverage.
+  // Spaces brute force can afford get brute force: one round, every
+  // feasible point evaluated, and every pruned point listed after the
+  // evaluated rows, in enumeration order, with its rejection.
   KernelSearchSpec Spec = gemmSearchSpec(smallGemm(), smallAxes());
+  MappingSpace Space(Spec, MachineModel::h100());
   CompilerSession Session;
   Tuner Tuner(Session);
-  TuneResult Exhaustive = Tuner.tune(Spec, MachineModel::h100());
-  TuneResult Budgeted =
+  TuneResult Result =
       Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
-  ASSERT_NE(Budgeted.best(), nullptr);
-  EXPECT_EQ(Budgeted.Stats.Rounds, 1u);
-  EXPECT_EQ(Budgeted.Stats.Evals,
-            Exhaustive.Stats.Candidates - Exhaustive.Stats.Pruned);
-  EXPECT_EQ(Budgeted.best()->Point, Exhaustive.best()->Point);
-  EXPECT_DOUBLE_EQ(Budgeted.best()->TFlops, Exhaustive.best()->TFlops);
+  ASSERT_NE(Result.best(), nullptr);
+  EXPECT_EQ(Result.Stats.Rounds, 1u);
+  EXPECT_EQ(Result.Stats.Evals, Space.feasibleCount());
+  EXPECT_EQ(Result.Stats.Pruned, Space.prunedCount());
+  ASSERT_EQ(Result.Landscape.size(), Space.size());
+
+  size_t Row = Space.feasibleCount();
+  for (size_t I = 0; I < Row; ++I)
+    EXPECT_EQ(Result.Landscape[I].Status, CandidateStatus::Evaluated);
+  for (const MappingSpace::Candidate &Cand : Space.candidates()) {
+    if (Cand.feasible())
+      continue;
+    const CandidateResult &Pruned = Result.Landscape[Row++];
+    EXPECT_EQ(Pruned.Point, Cand.Point);
+    EXPECT_EQ(Pruned.Status, CandidateStatus::Pruned);
+    EXPECT_EQ(Pruned.Kernel, nullptr);
+    EXPECT_EQ(Pruned.Detail, Cand.Rejection->message());
+  }
+  EXPECT_EQ(Row, Space.size());
 }
 
 TEST(Tuner, WallClockBudgetStillCompletesOneRound) {
@@ -594,30 +617,16 @@ TEST(Tuner, WallClockBudgetStillCompletesOneRound) {
   EXPECT_GT(Result.best()->TFlops, 0.0);
 }
 
-TEST(Tuner, ExhaustiveTuneRefusesOversizedSpaces) {
-  // tune() on a 77k-point space must return the cap diagnostic instead of
-  // materializing and sweeping it (the analogue of the simulator's
-  // event-slot cap).
-  KernelSearchSpec Spec = gemmSearchSpec(GemmConfig(), gemmGuidedAxes());
-  CompilerSession Session;
-  Tuner Tuner(Session);
-  TuneResult Result = Tuner.tune(Spec, MachineModel::h100());
-  EXPECT_TRUE(Result.Landscape.empty());
-  EXPECT_EQ(Result.best(), nullptr);
-  EXPECT_NE(Result.Error.find("tuneBudgeted"), std::string::npos);
-  EXPECT_EQ(Result.Stats.PipelinesRun, 0u);
-}
-
 TEST(Tuner, AttentionSweepFindsThePaperTuning) {
   // On the default attention axes the paper's FA2 tuning (three consumer
   // warpgroups over 192-row query blocks) must at least compile and land
   // in the evaluated part of the landscape.
   CompilerSession Session;
   Tuner Tuner(Session);
-  TuneResult Result = Tuner.tune(
+  TuneResult Result = Tuner.tuneBudgeted(
       attentionSearchSpec(fa2Config(2048),
                           {{"WGS", {3}}, {"BR", {192}}, {"BC", {64, 128}}}),
-      MachineModel::h100());
+      MachineModel::h100(), TuneBudget());
   ASSERT_NE(Result.best(), nullptr);
   EXPECT_EQ(Result.best()->Point.at("BR"), 192);
   EXPECT_GT(Result.best()->TFlops, 0.0);

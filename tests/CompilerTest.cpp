@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "compiler/Passes.h"
+#include "compiler/PassManager.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -338,7 +338,7 @@ TEST(CopyElimination, UnsatisfiableNoneConstraintDiagnosed) {
   std::vector<TensorType> Args = {{Shape({64, 64}), ElementType::F16}};
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(), Args};
 
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   // Either the none constraint fires, or forwarding legitimately resolved
   // everything (the pass got smarter); both verify the contract that no
   // None tensor survives in the final IR.
@@ -366,7 +366,7 @@ TEST(CopyElimination, GemmAccumulatorHoistedOutOfKLoop) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   ASSERT_TRUE(Module) << (Module ? "" : Module.diagnostic().message());
 
   walkOps(Module->root(), [&](const Operation &Loop) {
@@ -398,7 +398,8 @@ TEST(ResourceAllocation, GemmFitsWithDistinctBuffers) {
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
   SharedAllocation Alloc;
-  ErrorOr<IRModule> Module = compileToIR(Input, &Alloc);
+  ErrorOr<IRModule> Module =
+      PassPipeline::defaultPipeline().run(Input, &Alloc);
   ASSERT_TRUE(Module) << (Module ? "" : Module.diagnostic().message());
 
   // A tiles (16KB x3), B tiles (32KB x3) and staging (64KB for 2 wgs).
@@ -424,7 +425,7 @@ TEST(ResourceAllocation, OverflowDiagnosed) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   ASSERT_FALSE(Module);
   EXPECT_NE(Module.diagnostic().message().find("shared memory"),
             std::string::npos);
@@ -444,7 +445,7 @@ TEST(WarpSpecialization, TmaCopiesOnDmaAgent) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   ASSERT_TRUE(Module);
   walkOps(Module->root(), [&](const Operation &Op) {
     if (Op.Kind == OpKind::Copy) {
@@ -467,7 +468,7 @@ TEST(WarpSpecialization, PipelineRotatesBuffersAndAddsBackEdges) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   ASSERT_TRUE(Module);
 
   int LagEdges = 0, RotatedSlices = 0;
@@ -506,9 +507,11 @@ TEST(CudaEmitter, GoldenStructure) {
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
   SharedAllocation Alloc;
-  ErrorOr<IRModule> Module = compileToIR(Input, &Alloc);
+  ErrorOr<IRModule> Module =
+      PassPipeline::defaultPipeline().run(Input, &Alloc);
   ASSERT_TRUE(Module);
-  std::string Cuda = emitCudaSource(*Module, Alloc, "gemm");
+  CudaEmitStats EmitStats;
+  std::string Cuda = emitCudaSource(*Module, Alloc, "gemm", EmitStats);
 
   // Figure 1b landmarks, in order: smem plan, DMA/compute split, the
   // K-loop, TMA loads with pipeline phases, wgmma commit/wait.

@@ -193,9 +193,18 @@ TEST(CudaEmitterStats, WarpSpecializedGemmShape) {
 }
 
 TEST(CudaEmitterStats, StatsOverloadMatchesPlainEmission) {
+  // A direct emission into a reused stats object matches the kernel's own
+  // emission: the counters restart instead of accumulating.
   Compiled C = compileGemm(smallGemmConfig());
   ASSERT_NE(C.Kernel, nullptr) << C.Error;
-  EXPECT_EQ(C.Kernel->cudaSource(), C.Kernel->emitCuda().Source);
+  CompiledKernel::CudaEmission Emission = C.Kernel->emitCuda();
+  CudaEmitStats Stats;
+  Stats.Lines = 1000000;
+  EXPECT_EQ(emitCudaSource(C.Kernel->module(), C.Kernel->sharedPlan(),
+                           C.Kernel->name(), Stats),
+            Emission.Source);
+  EXPECT_EQ(Stats.Lines, Emission.Stats.Lines);
+  EXPECT_EQ(Stats.Mbarriers, Emission.Stats.Mbarriers);
 }
 
 TEST(CudaEmitterStats, EmissionIsDeterministic) {

@@ -203,7 +203,7 @@ TEST(Gemm, TimingIsComputeBoundAtLargeSizes) {
 TEST(Gemm, CudaSourceHasWarpSpecializedStructure) {
   auto Kernel = compileGemm(smallConfig());
   ASSERT_NE(Kernel, nullptr);
-  std::string Cuda = Kernel->cudaSource();
+  std::string Cuda = Kernel->emitCuda().Source;
   EXPECT_NE(Cuda.find("__global__"), std::string::npos);
   EXPECT_NE(Cuda.find("is_dma_warp"), std::string::npos);
   EXPECT_NE(Cuda.find("cp_async_bulk_tensor"), std::string::npos);

@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the instrumented pass pipeline: registered pass ordering, the
-/// equivalence of compileToIR with an explicitly built default pipeline,
+/// Tests of the instrumented pass pipeline: registered pass ordering,
 /// per-pass statistics, inter-stage verification catching an injected
 /// malformed module, pass provenance on diagnostics, and IR dumping.
 ///
@@ -96,19 +95,6 @@ TEST(PassManager, StatsPopulated) {
   EXPECT_EQ(Stats.pass("no-such-pass"), nullptr);
 }
 
-TEST(PassManager, CompileToIRIsTheDefaultPipeline) {
-  GemmInput Gemm;
-  SharedAllocation LegacyAlloc, PipelineAlloc;
-  ErrorOr<IRModule> Legacy = compileToIR(Gemm.input(), &LegacyAlloc);
-  ErrorOr<IRModule> Piped =
-      PassPipeline::defaultPipeline().run(Gemm.input(), &PipelineAlloc);
-  ASSERT_TRUE(Legacy);
-  ASSERT_TRUE(Piped);
-  EXPECT_EQ(printModule(*Legacy), printModule(*Piped));
-  EXPECT_EQ(LegacyAlloc.TotalBytes, PipelineAlloc.TotalBytes);
-  EXPECT_EQ(LegacyAlloc.Entries.size(), PipelineAlloc.Entries.size());
-}
-
 TEST(PassManager, VerifierCatchesInjectedMalformedModule) {
   GemmInput Gemm;
   PassPipeline Pipeline;
@@ -142,7 +128,7 @@ TEST(PassManager, DiagnosticsCarryPassProvenance) {
   GemmInput Gemm;
   CompileInput Input = Gemm.input();
   Input.EntryArgTypes.clear(); // Wrong entrypoint arity.
-  ErrorOr<IRModule> Module = compileToIR(Input);
+  ErrorOr<IRModule> Module = PassPipeline::defaultPipeline().run(Input);
   ASSERT_FALSE(Module);
   EXPECT_EQ(Module.diagnostic().passName(), "dependence-analysis");
   // str() prefixes the provenance; message() stays the raw text.

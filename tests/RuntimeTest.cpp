@@ -199,7 +199,7 @@ TEST(Runtime, ArtifactAccessors) {
   EXPECT_FALSE(Plan.Entries.empty());
   EXPECT_LE(Plan.TotalBytes, H100Constants::SharedMemoryBytes);
   // The CUDA source names the kernel.
-  EXPECT_NE((*Kernel)->cudaSource().find("artifacts_kernel"),
+  EXPECT_NE((*Kernel)->emitCuda().Source.find("artifacts_kernel"),
             std::string::npos);
 }
 
@@ -270,7 +270,7 @@ TEST(Session, CacheHitReturnsIdenticalKernel) {
   EXPECT_EQ(First->get(), Second->get()); // Same object, not a recompile.
   EXPECT_EQ(Session.stats().Hits, 1u);
   EXPECT_EQ(Session.stats().Misses, 1u);
-  EXPECT_EQ(Session.cachedKernels(), 1u);
+  EXPECT_EQ(Session.cacheStats().Entries, 1u);
 }
 
 TEST(Session, DifferentInputsMissTheCache) {
@@ -358,7 +358,7 @@ TEST(Session, CompileAllIsConcurrentDeterministicAndDeduplicated) {
   EXPECT_EQ(Results[0]->get(), Results[3]->get());
   EXPECT_EQ(Results[1]->get(), Results[4]->get());
   EXPECT_EQ(Results[2]->get(), Results[5]->get());
-  EXPECT_EQ(Session.cachedKernels(), 3u);
+  EXPECT_EQ(Session.cacheStats().Entries, 3u);
 
   // Concurrent compilation is deterministic: bit-identical IR to a fresh
   // serial compile of the same inputs.
@@ -391,7 +391,6 @@ TEST(Session, CacheStatsSnapshotsHitsMissesAndEntries) {
   // One consistent snapshot: the counters match the legacy accessors.
   EXPECT_EQ(Stats.Hits, Session.stats().Hits);
   EXPECT_EQ(Stats.Misses, Session.stats().Misses);
-  EXPECT_EQ(Stats.Entries, Session.cachedKernels());
 
   // Clearing drops the kernels but keeps the monotonic counters; probing
   // never counts as a hit or miss.
@@ -413,7 +412,7 @@ TEST(Session, CompileErrorsAreReportedNotCached) {
   EXPECT_NE(Result.diagnostic().message().find("entrypoint"),
             std::string::npos);
   EXPECT_EQ(Result.diagnostic().passName(), "dependence-analysis");
-  EXPECT_EQ(Session.cachedKernels(), 0u);
+  EXPECT_EQ(Session.cacheStats().Entries, 0u);
   // Failed compiles still count as misses: Hits + Misses == compile calls.
   EXPECT_EQ(Session.stats().Misses, 1u);
   EXPECT_EQ(Session.stats().Hits, 0u);

@@ -222,15 +222,17 @@ TEST(SimulatorParity, BatchedTunerMatchesSequential) {
   Sequential.Workers = 1;
   CompilerSession SeqSession(Sequential);
   Tuner SeqTuner(SeqSession);
-  TuneResult SeqResult = SeqTuner.tune(gemmSearchSpec(Base, gemmSweepAxes()),
-                                       MachineModel::h100());
+  TuneResult SeqResult = SeqTuner.tuneBudgeted(
+      gemmSearchSpec(Base, gemmSweepAxes()), MachineModel::h100(),
+      TuneBudget());
 
   SessionConfig Batched;
   Batched.Workers = 4;
   CompilerSession BatchSession(Batched);
   Tuner BatchTuner(BatchSession);
-  TuneResult BatchResult = BatchTuner.tune(
-      gemmSearchSpec(Base, gemmSweepAxes()), MachineModel::h100());
+  TuneResult BatchResult = BatchTuner.tuneBudgeted(
+      gemmSearchSpec(Base, gemmSweepAxes()), MachineModel::h100(),
+      TuneBudget());
 
   ASSERT_EQ(SeqResult.Landscape.size(), BatchResult.Landscape.size());
   for (size_t I = 0; I < SeqResult.Landscape.size(); ++I) {
