@@ -54,8 +54,7 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
   HotpathRow Row{Name, Runs, 0.0, 0.0, 0.0};
   if (!Owned.Kernel)
     return Row;
-  ErrorOr<SimResult> Warm = Owned.Kernel->runTiming(SimConfig(), nullptr,
-                                                    Cancel);
+  ErrorOr<SimResult> Warm = Owned.Kernel->runTiming(SimConfig(), Cancel);
   if (!Warm) {
     std::fprintf(stderr, "error: %s: %s\n", Name,
                  Warm.diagnostic().message().c_str());
@@ -66,7 +65,7 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
   for (int Batch = 0; Batch < Batches; ++Batch) {
     Clock::time_point Start = Clock::now();
     for (int I = 0; I < Runs; ++I)
-      if (!Owned.Kernel->runTiming(SimConfig(), nullptr, Cancel))
+      if (!Owned.Kernel->runTiming(SimConfig(), Cancel))
         return Row;
     double Micros = millisSince(Start) * 1000.0 / Runs;
     if (Batch == 0 || Micros < Row.MicrosPerRun)
@@ -107,7 +106,7 @@ int main() {
                 Row.MicrosPerRun, Row.BlockCycles, Row.TFlops);
 
   // Cancellation-checkpoint overhead on the simulator hot path: the same
-  // gemm timing run with a far-future deadline armed (per-shard and
+  // gemm timing run with a far-future deadline armed (expansion and
   // per-relaxation-step strided polls live) vs the nullptr fast path
   // measured above. Reported, never gated; the percentage is the claim
   // docs/BENCHMARKS.md records.

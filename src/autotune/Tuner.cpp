@@ -218,7 +218,7 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
         auto SimStart = std::chrono::steady_clock::now();
         Cancellation RunCancel(Options.DeadlineAt, Options.Cancel);
         ErrorOr<SimResult> Timing = Eval.Kernel->runTiming(
-            Sim, nullptr, RunCancel.active() ? &RunCancel : nullptr);
+            Sim, RunCancel.active() ? &RunCancel : nullptr);
         Eval.SimulateMicros = std::chrono::duration<double, std::micro>(
                                   std::chrono::steady_clock::now() - SimStart)
                                   .count();

@@ -61,16 +61,13 @@ public:
 
   /// Timing-only simulation (fast; used by the benchmarks and the
   /// autotuner's candidate evaluation). Thread-safe on a shared kernel.
-  /// Passing \p Pool (e.g. a CompilerSession) shards this one kernel's
-  /// expansion across its workers with bit-identical results; see
-  /// simulate() for the nesting caveat. \p Cancel (when active) bounds
-  /// the run with the simulator's cooperative checkpoints.
+  /// \p Cancel (when active) bounds the run with the simulator's
+  /// cooperative checkpoints.
   ErrorOr<SimResult> runTiming(const SimConfig &Config = SimConfig(),
-                               SimWorkerPool *Pool = nullptr,
                                const Cancellation *Cancel = nullptr) const {
     SimHints Hints = simHints();
     return simulate(Module, Alloc, Config, Leaves, {},
-                    Hints.NumOps ? &Hints : nullptr, Pool, Cancel);
+                    Hints.NumOps ? &Hints : nullptr, Cancel);
   }
 
   /// Timing plus functional execution into \p EntryBuffers (one per entry
@@ -78,11 +75,10 @@ public:
   ErrorOr<SimResult>
   runFunctional(const std::vector<TensorData *> &EntryBuffers,
                 const SimConfig &Config = SimConfig(),
-                SimWorkerPool *Pool = nullptr,
                 const Cancellation *Cancel = nullptr) const {
     SimHints Hints = simHints();
     return simulate(Module, Alloc, Config, Leaves, EntryBuffers,
-                    Hints.NumOps ? &Hints : nullptr, Pool, Cancel);
+                    Hints.NumOps ? &Hints : nullptr, Cancel);
   }
 
   /// One CUDA emission: the generated text plus the printer's counters

@@ -108,12 +108,24 @@ void CompilerSession::joinWorkers() {
 // Worker pool
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Set while this thread drains a batch of any session. The outer batch
+/// holds its session's SubmitMutex until every item has finished, so a
+/// batch submitted from inside an item — on the same session or, through
+/// a chain of hooks, back onto it — would wait on itself forever.
+thread_local bool DrainingBatch = false;
+
+} // namespace
+
 void CompilerSession::ensureWorkers(unsigned Count) {
   while (Workers.size() < Count)
     Workers.emplace_back([this] { workerMain(); });
 }
 
 void CompilerSession::drainJob(JobState &Job) {
+  // Never nested on one thread: runParallel runs inline while this is set.
+  DrainingBatch = true;
   for (size_t I = Job.Next.fetch_add(1); I < Job.N;
        I = Job.Next.fetch_add(1)) {
     (*Job.Fn)(I);
@@ -122,6 +134,7 @@ void CompilerSession::drainJob(JobState &Job) {
       DoneCv.notify_all();
     }
   }
+  DrainingBatch = false;
 }
 
 void CompilerSession::workerMain() {
@@ -153,7 +166,7 @@ void CompilerSession::runParallel(size_t Items,
         std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
   WorkerCount = static_cast<unsigned>(
       std::min<size_t>(WorkerCount, Items));
-  if (WorkerCount <= 1) {
+  if (WorkerCount <= 1 || DrainingBatch) {
     for (size_t I = 0; I < Items; ++I)
       Fn(I);
     return;
@@ -178,19 +191,6 @@ void CompilerSession::runParallel(size_t Items,
   // exhausted).
   if (CurrentJob == Job)
     CurrentJob = nullptr;
-}
-
-size_t CompilerSession::parallelism() const {
-  unsigned WorkerCount = Config.Workers;
-  if (WorkerCount == 0)
-    WorkerCount =
-        std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
-  return WorkerCount;
-}
-
-void CompilerSession::parallelFor(size_t Items,
-                                  const std::function<void(size_t)> &Fn) {
-  runParallel(Items, Fn);
 }
 
 //===----------------------------------------------------------------------===//

@@ -99,15 +99,7 @@ struct CacheStats {
 /// persistent worker pool. The pool is created lazily on the first batched
 /// call and reused for the session's lifetime, so sweeping clients (the
 /// autotuner) never pay per-batch thread spawns.
-///
-/// The session is also a SimWorkerPool: the same persistent workers that
-/// compile a batch can shard a single kernel's timing simulation
-/// (`Kernel->runTiming(SimConfig(), &Session)`). Never call parallelFor —
-/// directly or through runTiming — from code already running on the
-/// pool's own workers (e.g. a compileAll PostCompile hook): batches are
-/// serialized on a lock the outer batch still holds, so the nested
-/// submission would deadlock.
-class CompilerSession : public SimWorkerPool {
+class CompilerSession {
 public:
   explicit CompilerSession(SessionConfig Config = SessionConfig());
   ~CompilerSession();
@@ -151,6 +143,8 @@ public:
 
   /// Compiles every request, scheduling work across the session's worker
   /// pool. Results are positional: Result[i] belongs to Requests[i].
+  /// A compileAll issued from inside a batch (e.g. from a PostCompile
+  /// hook) runs its requests inline on the calling thread.
   /// Deterministic: the pipeline is pure, so concurrent compilation yields
   /// bit-identical kernels regardless of scheduling. When \p HitsOut is
   /// non-null it is filled positionally with whether each request was
@@ -186,14 +180,6 @@ public:
   /// stands in for body content), the full mapping, the machine, and the
   /// entry argument types. Exposed for tests and cache introspection.
   static std::string cacheKey(const CompileInput &Input);
-
-  /// SimWorkerPool: the worker count compileAll batches resolve to (the
-  /// configured Workers, or the hardware-derived default).
-  size_t parallelism() const override;
-  /// SimWorkerPool: runs \p Fn over the session's pool, the calling
-  /// thread participating. See the class comment for the nesting caveat.
-  void parallelFor(size_t Items,
-                   const std::function<void(size_t)> &Fn) override;
 
   SessionStats stats() const;
   /// Hits, misses, and resident-kernel count in one locked snapshot.
@@ -242,7 +228,8 @@ private:
 
   /// Runs Fn(0..Items) across the worker pool; the calling thread
   /// participates. Batches from concurrent callers are serialized (items
-  /// within each batch still run concurrently).
+  /// within each batch still run concurrently). A thread that is already
+  /// draining a batch runs nested items inline.
   void runParallel(size_t Items, const std::function<void(size_t)> &Fn);
   void ensureWorkers(unsigned Count);
   void drainJob(JobState &Job);

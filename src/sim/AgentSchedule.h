@@ -34,14 +34,13 @@
 ///    instance of that loop instance has; `for` preconditions gate only
 ///    through their body instances' own edges.
 ///
-/// build() expands the block body into per-agent instance streams (sharded
-/// across a SimWorkerPool when one is given; shards cover contiguous
-/// ranges of the sequential order, so the result is identical for any
-/// parallelism) and sizes a dense completion table from the loop extents
-/// it observed. Executors then alternate ready() and complete(), attaching
-/// their own meaning to the completion value: the simulator stores cycles,
-/// the lowering only presence. All arenas keep their capacity across
-/// builds, so a pooled model reaches an allocation-free steady state.
+/// build() expands the block body in one sequential walk, in program order,
+/// straight into per-agent instance streams, and sizes a dense completion
+/// table from the loop extents it observed. Executors then alternate
+/// ready() and complete(), attaching their own meaning to the completion
+/// value: the simulator stores cycles, the lowering only presence. All
+/// arenas keep their capacity across builds, so a pooled model reaches an
+/// allocation-free steady state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +61,6 @@
 
 namespace cypress {
 
-class SimWorkerPool;
 struct SimHints;
 
 /// Warpgroup replication count of an op (1 when it has no warpgroup dim).
@@ -111,17 +109,14 @@ public:
 
   /// Observer of the expansion, for executors that attach a static
   /// per-instance payload (the simulator's shared-memory byte ranges).
-  /// Each shard reports its instances in expansion order, so concatenating
-  /// per-shard payloads in shard order lines them up with the instance
-  /// table. onInstance runs on pool workers, one thread per shard.
+  /// Instances are reported in instance-table order.
   class ExpansionHook {
   public:
-    virtual void beginShards(size_t NumShards) = 0;
     /// \p Env binds the instance's loop variables and warpgroup index;
     /// \p Coords holds its \p Depth enclosing-loop iterations.
-    virtual void onInstance(size_t Shard, const ScalarEnv &Env,
-                            const Operation &Op, int32_t Wg,
-                            const int64_t *Coords, uint32_t Depth) = 0;
+    virtual void onInstance(const ScalarEnv &Env, const Operation &Op,
+                            int32_t Wg, const int64_t *Coords,
+                            uint32_t Depth) = 0;
 
   protected:
     ~ExpansionHook() = default; ///< Never owned through the hook.
@@ -133,8 +128,7 @@ public:
   /// too large for the dense tables, or a fired \p Cancel.
   ErrorOrVoid build(const IRModule &Module, const Operation &Grid,
                     const ScalarEnv &BlockEnv, const char *Client,
-                    const Cancellation *Cancel, SimWorkerPool *Pool = nullptr,
-                    ExpansionHook *Hook = nullptr,
+                    const Cancellation *Cancel, ExpansionHook *Hook = nullptr,
                     const SimHints *Hints = nullptr);
 
   size_t numAgents() const { return NumAgents; }
@@ -198,61 +192,13 @@ private:
     EventId Event = InvalidEventId;
   };
 
-  /// One top-level unit of expansion work: a bare Copy/Call directly in
-  /// the grid body, or one iteration of a top-level sequential loop.
-  /// Contiguous ranges of units expand independently into shard buffers.
-  struct TopUnit {
-    const Operation *Op = nullptr;
-    int64_t Iter = 0;       ///< Loop iteration value (loop units only).
-    uint32_t TopLoop = ~0u; ///< Global loop-instance id; ~0u for bare ops.
-  };
-
-  /// Per-op facts one shard accumulates privately (min, max and a
-  /// disjunction, so the merge is order-independent).
-  struct OpAcc {
-    int64_t MinCoord = std::numeric_limits<int64_t>::max();
-    int64_t MaxCoord = std::numeric_limits<int64_t>::min();
-    bool Visited = false;
-  };
-
-  /// Private output buffers of one expansion shard, mirroring the model's
-  /// arenas. Loop-path entries below the top-loop count name a global
-  /// top-level loop instance; entries at or above it name this shard's
-  /// local loop instances and are renumbered by the merge.
-  struct ShardBuf {
-    std::vector<InstRec> Insts;
-    std::vector<std::vector<uint32_t>> Streams; ///< Shard-local indices.
-    std::vector<int64_t> Coords;
-    std::vector<uint32_t> LoopPaths; ///< Encoded loop-instance ids.
-    std::vector<PrecondDesc> Preconds;
-    std::vector<LoopInst> Loops;       ///< Nested loop instances.
-    std::vector<int64_t> TopRemaining; ///< Counts against top-level loops.
-    std::vector<OpAcc> Ops;
-    std::vector<int64_t> CoordStack;
-    std::vector<uint32_t> LoopPath;
-    /// Bindings are overwritten in place and never erased: each
-    /// erase/re-emplace pair would be a map-node allocation per loop
-    /// iteration. The verifier guarantees expressions only reference
-    /// in-scope variables, so stale bindings are never read.
-    ScalarEnv Env;
-    std::map<Processor, int64_t>::iterator WgIt; ///< Env's warpgroup index.
-    std::optional<Diagnostic> Failure;
-
-    void reset(size_t NumAgents, size_t NumOps, size_t NumTopLoops,
-               const ScalarEnv &BlockEnv);
-  };
-
   void reset(size_t NumEvents, const SimHints *Hints);
   void indexOps(const IRBlock &Block);
   uint32_t assignDense(const Operation &Op);
-  void buildUnits(const ScalarEnv &BlockEnv);
-  void expandShards(const ScalarEnv &BlockEnv, const SimHints *Hints);
-  void expandUnitRange(size_t Shard, size_t Begin, size_t End);
-  void expandShardBlock(ShardBuf &B, size_t Shard, const IRBlock &Block);
-  void expandShardOp(ShardBuf &B, size_t Shard, const Operation &Op);
-  void pushInstance(ShardBuf &B, size_t Shard, const Operation &Op,
-                    uint32_t OpIdx, int64_t Wg, size_t Agent);
-  void mergeShards(size_t NumShards);
+  void expandBlock(const IRBlock &Block);
+  void expandOp(const Operation &Op);
+  void pushInstance(const Operation &Op, uint32_t OpIdx, int64_t Wg,
+                    size_t Agent);
   void buildEventTables();
   void fail(std::string Message);
 
@@ -271,14 +217,22 @@ private:
   const IRModule *Module = nullptr;
   const Operation *Grid = nullptr;
   const char *Client = "";
-  const Cancellation *Cancel = nullptr;
-  SimWorkerPool *Pool = nullptr;
   ExpansionHook *Hook = nullptr;
+  CancelCheck Check; ///< Polled once per loop iteration of the expansion.
 
   size_t NumAgents = 0;
-  int64_t Wgs = 1;          ///< Widest warpgroup dim (static pre-walk).
-  uint32_t NumTopLoops = 0; ///< Global loop instances from buildUnits.
+  int64_t Wgs = 1; ///< Widest warpgroup dim (static pre-walk).
   std::optional<Diagnostic> Failure;
+
+  // Expansion state: the enclosing loops' iterations and instance ids.
+  std::vector<int64_t> CoordStack;
+  std::vector<uint32_t> LoopPath;
+  /// Bindings are overwritten in place and never erased: each
+  /// erase/re-emplace pair would be a map-node allocation per loop
+  /// iteration. The verifier guarantees expressions only reference
+  /// in-scope variables, so stale bindings are never read.
+  ScalarEnv Env;
+  std::map<Processor, int64_t>::iterator WgIt; ///< Env's warpgroup index.
 
   std::vector<InstRec> Insts;
   std::vector<std::vector<uint32_t>> Streams; ///< Instance indices per agent.
@@ -293,8 +247,6 @@ private:
   std::vector<LoopInst> Loops;
   std::vector<uint32_t> ChainArena; ///< Enclosing-loop dense ids per op.
   std::vector<uint32_t> LoopOpStack; ///< Pre-walk: enclosing For dense ids.
-  std::vector<TopUnit> Units;        ///< Top-level expansion work list.
-  std::vector<ShardBuf> Shards;      ///< Per-shard buffers (pooled).
 };
 
 //===----------------------------------------------------------------------===//

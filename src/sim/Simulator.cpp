@@ -74,13 +74,6 @@ struct SmemAccess {
   size_t IterHash = 0;
 };
 
-/// One expansion shard's shared-memory ranges: Begin[i] is where the
-/// shard's i-th instance's entries start in Pres.
-struct SmemShard {
-  std::vector<SmemPre> Pres;
-  std::vector<uint32_t> Begin;
-};
-
 /// All per-run state of the timing simulator, pooled across runs: every
 /// table is cleared but keeps its capacity, so steady-state simulation
 /// performs no allocation. One scratch exists per thread (runTiming is
@@ -88,7 +81,6 @@ struct SmemShard {
 struct TimerScratch {
   AgentSchedule Model;
   std::vector<Cost> Costs; ///< Per dense op (copies and calls reached).
-  std::vector<SmemShard> SmemShards;
   std::vector<SmemPre> SmemPres;
   /// Instance I's ranges are SmemPres[SmemBegin[I], SmemBegin[I + 1]).
   std::vector<uint32_t> SmemBegin;
@@ -112,10 +104,10 @@ class BlockTimer final : public AgentSchedule::ExpansionHook {
 public:
   BlockTimer(const IRModule &Module, const SharedAllocation &Alloc,
              const SimConfig &Config, const Operation &Grid,
-             TimerScratch &S, const SimHints *Hints, SimWorkerPool *Pool,
+             TimerScratch &S, const SimHints *Hints,
              const Cancellation *Cancel)
       : Module(Module), Alloc(Alloc), Config(Config), Grid(Grid), S(S),
-        M(S.Model), Hints(Hints), Pool(Pool), Cancel(Cancel) {
+        M(S.Model), Hints(Hints), Cancel(Cancel) {
     if (Cancel)
       SchedCheck = CancelCheck(*Cancel);
   }
@@ -126,11 +118,15 @@ public:
     BlockEnv.ProcIndices[Processor::Warpgroup] = 0;
     BlockEnv.ProcIndices[Processor::Warp] = 0;
     BlockEnv.ProcIndices[Processor::Thread] = 0;
+    S.SmemPres.clear();
+    S.SmemBegin.clear();
+    if (Hints)
+      S.SmemPres.reserve(Hints->NumOps);
     if (ErrorOrVoid Built = M.build(Module, Grid, BlockEnv, "simulation",
-                                    Cancel, Pool, this, Hints);
+                                    Cancel, this, Hints);
         !Built)
       return Built.diagnostic();
-    mergeSmemShards();
+    S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
     computeCosts();
     S.Accesses.clear();
     schedule();
@@ -149,25 +145,11 @@ public:
 
   //===--- Shared-memory ranges (expansion hook) --------------------------===//
 
-  void beginShards(size_t NumShards) override {
-    if (S.SmemShards.size() < NumShards)
-      S.SmemShards.resize(NumShards);
-    for (size_t I = 0; I < NumShards; ++I) {
-      S.SmemShards[I].Pres.clear();
-      S.SmemShards[I].Begin.clear();
-      if (Hints && Hints->NumOps)
-        S.SmemShards[I].Pres.reserve(Hints->NumOps / NumShards + 1);
-    }
-    NumSmemShards = NumShards;
-  }
-
   /// Records the byte ranges of the shared-memory operands of one instance
   /// (the buffer index evaluates under the instance's environment).
-  void onInstance(size_t Shard, const ScalarEnv &Env, const Operation &Op,
-                  int32_t Wg, const int64_t *Coords,
-                  uint32_t Depth) override {
-    SmemShard &B = S.SmemShards[Shard];
-    B.Begin.push_back(static_cast<uint32_t>(B.Pres.size()));
+  void onInstance(const ScalarEnv &Env, const Operation &Op, int32_t Wg,
+                  const int64_t *Coords, uint32_t Depth) override {
+    S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
     size_t IterHash = 0;
     for (uint32_t D = 0; D < Depth; ++D)
       IterHash = IterHash * 1000003u + static_cast<size_t>(Coords[D] + 1);
@@ -181,7 +163,7 @@ public:
       int64_t BufBytes = Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1);
       int64_t Buf = Slice.BufferIndex.evaluate(Env);
       int64_t Lo = Entry->Offset + Buf * BufBytes;
-      B.Pres.push_back(
+      S.SmemPres.push_back(
           {Slice.Tensor, Op.Id, Lo, Lo + BufBytes, IterHash, Wg, Write});
     };
     if (Op.Kind == OpKind::Copy) {
@@ -194,21 +176,6 @@ public:
   }
 
 private:
-  /// Concatenates the shard ranges in shard order, which is the model's
-  /// instance order.
-  void mergeSmemShards() {
-    S.SmemPres.clear();
-    S.SmemBegin.clear();
-    for (size_t I = 0; I < NumSmemShards; ++I) {
-      const SmemShard &B = S.SmemShards[I];
-      uint32_t Base = static_cast<uint32_t>(S.SmemPres.size());
-      for (uint32_t Off : B.Begin)
-        S.SmemBegin.push_back(Base + Off);
-      S.SmemPres.insert(S.SmemPres.end(), B.Pres.begin(), B.Pres.end());
-    }
-    S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
-  }
-
   //===--- Cost model -------------------------------------------------------===//
 
   void computeCosts() {
@@ -451,10 +418,8 @@ private:
   TimerScratch &S;
   AgentSchedule &M;
   const SimHints *Hints;
-  SimWorkerPool *Pool; ///< Null: expand in one shard on this thread.
   const Cancellation *Cancel = nullptr;
-  CancelCheck SchedCheck; ///< The scheduling loop's (main-thread) poll.
-  size_t NumSmemShards = 0;
+  CancelCheck SchedCheck; ///< The scheduling loop's poll.
 
   std::vector<std::string> Races;
 
@@ -720,7 +685,6 @@ ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
                                      const LeafRegistry &Leaves,
                                      const std::vector<TensorData *> &EntryBuffers,
                                      const SimHints *Hints,
-                                     SimWorkerPool *Pool,
                                      const Cancellation *Cancel) {
   SimResult Total;
   bool FoundGrid = false;
@@ -742,7 +706,7 @@ ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
     int64_t Blocks = Op->LoopHi.evaluate(Env) - Op->LoopLo.evaluate(Env);
 
     BlockTimer Timer(Module, Alloc, Config, *Op, timerScratch(), Hints,
-                     Pool, Cancel);
+                     Cancel);
     ErrorOr<SimResult> BlockResult = Timer.run();
     if (!BlockResult)
       return BlockResult.diagnostic();

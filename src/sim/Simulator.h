@@ -24,6 +24,10 @@
 /// A write-after-read race detector checks that aliased shared-memory
 /// buffers are never overwritten while a reader is still in flight.
 ///
+/// One simulation is sequential: it expands, schedules and sweeps on the
+/// calling thread. Parallelism is across kernels — the autotuner times a
+/// batch of candidates at once on its session's worker pool.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CYPRESS_SIM_SIMULATOR_H
@@ -35,31 +39,10 @@
 #include "tensor/TensorData.h"
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace cypress {
-
-/// Abstract worker pool the timing simulator can shard one kernel's
-/// op-instance expansion and event-table initialization across.
-/// CompilerSession implements it on its persistent worker pool, so the
-/// same threads that compile a batch can split a single large
-/// simulation. Sharding is deterministic: results are bit-identical for
-/// any parallelism (including 1) because shards cover contiguous ranges
-/// of the sequential expansion order and are merged in order.
-class SimWorkerPool {
-public:
-  virtual ~SimWorkerPool() = default;
-  /// Number of workers parallelFor may use (>= 1).
-  virtual size_t parallelism() const = 0;
-  /// Runs Fn(0), ..., Fn(Items - 1) across the workers and returns once
-  /// every item has finished. Items may run in any order on any thread;
-  /// callers own any cross-item ordering (the simulator gives each item
-  /// a private output buffer and merges afterwards).
-  virtual void parallelFor(size_t Items,
-                           const std::function<void(size_t)> &Fn) = 0;
-};
 
 /// Timing constants of the simulated H100. Defaults are derived from the
 /// Hopper whitepaper/datasheet ratios; only relative magnitudes matter for
@@ -125,20 +108,14 @@ struct SimHints {
 ///
 /// Thread-safe for concurrent calls on shared immutable inputs: all timing
 /// state lives in a per-thread pooled scratch, so the autotuner may time
-/// many kernels from its worker pool at once.
+/// many kernels from its worker pool at once. One call simulates on the
+/// calling thread.
 ///
-/// When \p Pool is non-null, the timing simulator shards a single
-/// kernel's op-instance expansion and completion-table initialization
-/// across it (see SimWorkerPool); results are bit-identical to the
-/// sequential path. Do not pass a pool whose workers are what is calling
-/// simulate (e.g. from inside CompilerSession::compileAll's PostCompile
-/// hook): nested submission would deadlock on the pool's batch lock.
-///
-/// When \p Cancel is active, the shard-expansion and event-relaxation
-/// loops poll it (strided, so the steady-state hot path stays
-/// allocation-free and branch-cheap) and the run exits with the
-/// checkpoint's structured Code::DeadlineExceeded / Code::Cancelled
-/// diagnostic instead of a partial SimResult. A nullptr Cancel changes
+/// When \p Cancel is active, the expansion and event-relaxation loops poll
+/// it (strided, so the steady-state hot path stays allocation-free and
+/// branch-cheap) and the run exits with the checkpoint's structured
+/// Code::DeadlineExceeded / Code::Cancelled diagnostic instead of a partial
+/// SimResult. A nullptr Cancel changes
 /// nothing — the bit-identical parity contract is unaffected.
 ErrorOr<SimResult> simulate(const IRModule &Module,
                             const SharedAllocation &Alloc,
@@ -146,7 +123,6 @@ ErrorOr<SimResult> simulate(const IRModule &Module,
                             const LeafRegistry &Leaves,
                             const std::vector<TensorData *> &EntryBuffers = {},
                             const SimHints *Hints = nullptr,
-                            SimWorkerPool *Pool = nullptr,
                             const Cancellation *Cancel = nullptr);
 
 } // namespace cypress

@@ -9,9 +9,9 @@
 /// Cancellation (an optional wall-clock Deadline plus up to two CancelToken
 /// sources: the caller's and the owning session's); long-running loops poll
 /// a CancelCheck at natural checkpoints — between pipeline passes, every N
-/// worklist pops in copy elimination, per unit in the simulator's shard
-/// expansion, every N scheduling steps in the simulator and the CPU
-/// lowering, and at tuner round boundaries.
+/// worklist pops in copy elimination, per loop iteration in the agent
+/// schedule's expansion, every N scheduling steps in the simulator and the
+/// CPU lowering, and at tuner round boundaries.
 ///
 /// Cost model: tokens are relaxed atomic loads checked on every poll; the
 /// clock (the expensive part) is read only every Stride-th poll, so a

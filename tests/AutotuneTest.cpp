@@ -512,7 +512,7 @@ std::string visitSignature(const TuneResult &Result) {
 
 TEST(Tuner, GuidedSearchIsDeterministicAcrossWorkerCountsAndReruns) {
   // The determinism contract, pinned the way SimulatorParityTest pins
-  // sharding: identical best and identical visit sequence at 1, 2, and 8
+  // batched evaluation: identical best and identical visit sequence at 1, 2, and 8
   // workers, on repeat runs, and with a warm cost cache.
   KernelSearchSpec Spec = gemmSearchSpec(GemmConfig(), gemmGuidedAxes());
   TuneBudget Budget;

@@ -504,8 +504,7 @@ TEST(Robustness, SimulatorHonorsDeadlineAndInertCancellationIsFree) {
   ASSERT_NE(C.Kernel, nullptr) << C.Error;
 
   Cancellation Expired(Deadline::afterMicros(-1.0));
-  ErrorOr<SimResult> Timed = C.Kernel->runTiming(SimConfig(), nullptr,
-                                                 &Expired);
+  ErrorOr<SimResult> Timed = C.Kernel->runTiming(SimConfig(), &Expired);
   ASSERT_FALSE(Timed);
   EXPECT_EQ(Timed.diagnostic().code(), Diagnostic::Code::DeadlineExceeded);
 
@@ -513,8 +512,7 @@ TEST(Robustness, SimulatorHonorsDeadlineAndInertCancellationIsFree) {
   // nullptr — the golden parity suites rely on this.
   Cancellation Inert;
   ErrorOr<SimResult> Plain = C.Kernel->runTiming();
-  ErrorOr<SimResult> WithInert = C.Kernel->runTiming(SimConfig(), nullptr,
-                                                     &Inert);
+  ErrorOr<SimResult> WithInert = C.Kernel->runTiming(SimConfig(), &Inert);
   ASSERT_TRUE(Plain);
   ASSERT_TRUE(WithInert);
   EXPECT_EQ(Plain->TFlops, WithInert->TFlops);

@@ -23,8 +23,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <memory>
+#include <thread>
 
 using namespace cypress;
 
@@ -366,6 +368,61 @@ TEST(Session, CompileAllIsConcurrentDeterministicAndDeduplicated) {
       compileKernel(Small.input(), "serial");
   ASSERT_TRUE(Serial);
   EXPECT_EQ((*Results[0])->irDump(), (*Serial)->irDump());
+}
+
+TEST(Session, NestedCompileAllFromPostCompileRunsInline) {
+  // A PostCompile hook batches more requests onto the same two-worker
+  // session while the outer batch is still draining. The outer batch runs
+  // on its own thread so that a deadlock fails this test after a bound
+  // instead of hanging the suite; the shared state outlives a stuck thread.
+  using KernelResults =
+      std::vector<ErrorOr<std::shared_ptr<const CompiledKernel>>>;
+  struct State {
+    SessionGemm Small{512}, Large{1024};
+    CompilerSession Session{[] {
+      SessionConfig Config;
+      Config.Workers = 2;
+      return Config;
+    }()};
+    std::vector<KernelResults> Inner;
+    KernelResults Outer;
+    std::promise<void> Done;
+  };
+  auto S = std::make_shared<State>();
+  std::future<void> Done = S->Done.get_future();
+  std::thread Batch([S] {
+    std::vector<CompilerSession::Request> Outer = {
+        {S->Small.input(), "outer_small", {}},
+        {S->Large.input(), "outer_large", {}}};
+    std::vector<CompilerSession::Request> Inner = {
+        {S->Large.input(), "inner_large", {}},
+        {S->Small.input(), "inner_small", {}}};
+    S->Inner.resize(Outer.size());
+    S->Outer = S->Session.compileAll(
+        Outer, nullptr,
+        [&](size_t I, const ErrorOr<std::shared_ptr<const CompiledKernel>> &) {
+          S->Inner[I] = S->Session.compileAll(Inner);
+        });
+    S->Done.set_value();
+  });
+  if (Done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    Batch.detach();
+    FAIL() << "compileAll issued from a PostCompile hook deadlocked";
+  }
+  Batch.join();
+
+  ASSERT_EQ(S->Outer.size(), 2u);
+  for (const auto &Result : S->Outer)
+    ASSERT_TRUE(Result) << Result.diagnostic().message();
+  for (const KernelResults &Inner : S->Inner) {
+    ASSERT_EQ(Inner.size(), 2u);
+    ASSERT_TRUE(Inner[0]) << Inner[0].diagnostic().message();
+    ASSERT_TRUE(Inner[1]) << Inner[1].diagnostic().message();
+    // One kernel per key, whichever batch compiled it first.
+    EXPECT_EQ(Inner[0]->get(), S->Outer[1]->get());
+    EXPECT_EQ(Inner[1]->get(), S->Outer[0]->get());
+  }
+  EXPECT_EQ(S->Session.cacheStats().Entries, 2u);
 }
 
 TEST(Session, CacheStatsSnapshotsHitsMissesAndEntries) {

@@ -164,50 +164,6 @@ TEST(SimulatorParity, FunctionalAttentionDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded single-kernel simulation
-//===----------------------------------------------------------------------===//
-
-TEST(SimulatorParity, ShardedTimingBitIdenticalAcrossWorkerCounts) {
-  // One kernel's expansion shards across a CompilerSession's worker pool
-  // (runTiming's pool argument). Shards cover contiguous ranges of the
-  // sequential expansion order and merge in order, so every worker count
-  // — including the sequential no-pool path — must produce bit-identical
-  // timing. Run under TSan, this is also the data-race check for the
-  // sharded path: repeated runs reuse the pooled per-shard buffers.
-  Compiled G = compileGemm(headlineGemmConfig());
-  Compiled A = compileAttention(fa2Config(4096));
-  ASSERT_NE(G.Kernel, nullptr) << G.Error;
-  ASSERT_NE(A.Kernel, nullptr) << A.Error;
-  ErrorOr<SimResult> GemmRef = G.Kernel->runTiming();
-  ErrorOr<SimResult> AttnRef = A.Kernel->runTiming();
-  ASSERT_TRUE(GemmRef);
-  ASSERT_TRUE(AttnRef);
-
-  for (unsigned Workers : {1u, 2u, 8u}) {
-    SessionConfig Config;
-    Config.Workers = Workers;
-    CompilerSession Pool(Config);
-    for (int Rep = 0; Rep < 3; ++Rep) {
-      ErrorOr<SimResult> Gemm = G.Kernel->runTiming(SimConfig(), &Pool);
-      ErrorOr<SimResult> Attn = A.Kernel->runTiming(SimConfig(), &Pool);
-      ASSERT_TRUE(Gemm) << "workers " << Workers;
-      ASSERT_TRUE(Attn) << "workers " << Workers;
-      EXPECT_EQ(Gemm->BlockCycles, GemmRef->BlockCycles)
-          << "workers " << Workers << " rep " << Rep;
-      EXPECT_EQ(Gemm->TFlops, GemmRef->TFlops);
-      EXPECT_EQ(Gemm->TmaBusyCycles, GemmRef->TmaBusyCycles);
-      EXPECT_EQ(Gemm->TensorCoreBusyCycles, GemmRef->TensorCoreBusyCycles);
-      EXPECT_TRUE(Gemm->Races.empty());
-      EXPECT_EQ(Attn->BlockCycles, AttnRef->BlockCycles)
-          << "workers " << Workers << " rep " << Rep;
-      EXPECT_EQ(Attn->TFlops, AttnRef->TFlops);
-      EXPECT_EQ(Attn->TmaBusyCycles, AttnRef->TmaBusyCycles);
-      EXPECT_EQ(Attn->TensorCoreBusyCycles, AttnRef->TensorCoreBusyCycles);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Batched vs sequential tuner evaluation
 //===----------------------------------------------------------------------===//
 
