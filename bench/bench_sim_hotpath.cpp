@@ -97,10 +97,20 @@ int main() {
       "fa3", registerAttentionTasks, [&] { return attentionMapping(Fa3); },
       [&] { return attentionArgTypes(Fa3); });
 
+  // An instance-heavy kernel of the shape tune-emit searches: the 16K GEMM
+  // with a narrow K tile expands 1024 main-loop iterations per block.
+  GemmConfig Deep;
+  Deep.M = Deep.N = Deep.K = 16384;
+  Deep.W = 16;
+  OwnedKernel DeepKernel = compileOwned(
+      "gemm", registerGemmTasks, [&] { return gemmMapping(Deep); },
+      [&] { return gemmArgTypes(Deep); });
+
   const int Runs = 200;
   HotpathRow Rows[] = {timeKernel("gemm_4096", GemmKernel, Runs),
                        timeKernel("fa2_4096", Fa2Kernel, Runs),
-                       timeKernel("fa3_4096", Fa3Kernel, Runs)};
+                       timeKernel("fa3_4096", Fa3Kernel, Runs),
+                       timeKernel("gemm_16384_w16", DeepKernel, Runs / 4)};
   for (const HotpathRow &Row : Rows)
     std::printf("%-14s %8d %14.1f %16.1f %10.1f\n", Row.Name, Row.Runs,
                 Row.MicrosPerRun, Row.BlockCycles, Row.TFlops);

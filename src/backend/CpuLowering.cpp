@@ -165,8 +165,9 @@ private:
         while (Cursor[Agent] < Stream.size()) {
           const AgentSchedule::InstRec &Inst =
               Model.inst(Stream[Cursor[Agent]]);
-          double WaitTime;
-          if (!Model.ready(Inst, /*BarrierCost=*/0.0, WaitTime)) {
+          double WaitTime = 0.0;
+          uint32_t Blocker = AgentSchedule::NoSlot;
+          if (!Model.ready(Inst, /*BarrierCost=*/0.0, WaitTime, Blocker)) {
             ++Stats.Stalls;
             break;
           }

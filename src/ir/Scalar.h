@@ -94,6 +94,8 @@ public:
   bool isConstant() const;
   /// The constant value; asserts isConstant().
   int64_t constantValue() const;
+  /// True when the expression is exactly the index of processor \p Proc.
+  bool isProcIndex(Processor Proc) const;
 
   /// Evaluates with all variables bound by \p Env.
   int64_t evaluate(const ScalarEnv &Env) const;
@@ -174,6 +176,10 @@ inline bool ScalarExpr::isConstant() const {
 inline int64_t ScalarExpr::constantValue() const {
   assert(isConstant() && "expression is not constant");
   return Node->Value;
+}
+
+inline bool ScalarExpr::isProcIndex(Processor Proc) const {
+  return Node->TheKind == Kind::ProcIndex && Node->Proc == Proc;
 }
 
 inline bool ScalarExpr::usesProcIndex() const { return Node->HasProcIndex; }

@@ -34,13 +34,19 @@
 ///    instance of that loop instance has; `for` preconditions gate only
 ///    through their body instances' own edges.
 ///
-/// build() expands the block body in one sequential walk, in program order,
-/// straight into per-agent instance streams, and sizes a dense completion
-/// table from the loop extents it observed. Executors then alternate
-/// ready() and complete(), attaching their own meaning to the completion
-/// value: the simulator stores cycles, the lowering only presence. All
-/// arenas keep their capacity across builds, so a pooled model reaches an
-/// allocation-free steady state.
+/// build() resolves the schedule once. A bounds-only walk of the loops
+/// sizes a dense completion table; it iterates a loop's coordinates only
+/// when the loop body holds a nested loop, whose bounds may depend on them.
+/// One sequential expansion then unrolls the body, in program order,
+/// straight into per-agent instance streams, and resolves every key an
+/// instance reads or writes to an absolute completion-table slot.
+/// Executors then alternate ready() and complete(), which are array loads
+/// and stores, attaching their own meaning to the completion value: the
+/// simulator stores cycles, the lowering only presence. Slots are written
+/// once, so an instance that is ready stays ready, and an instance blocked
+/// on a slot stays blocked until that slot completes. All arenas keep
+/// their capacity across builds up to a ceiling, so a pooled model reaches
+/// an allocation-free steady state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,23 +82,80 @@ inline bool ownedByDmaAgent(const Operation &Grid, const Operation &Op) {
   return Grid.WarpSpecialize && Op.DmaAgent;
 }
 
+/// Capacity, in bytes, that a pooled arena keeps across builds. Pooling
+/// keeps steady-state builds allocation-free, but one outsized block must
+/// not pin its arenas to the owning thread for good.
+constexpr size_t PooledArenaBytes = size_t(1) << 25;
+
+/// Empties a pooled arena, releasing its storage when it grew past
+/// PooledArenaBytes.
+template <typename T> void clearPooled(std::vector<T> &Arena) {
+  Arena.clear();
+  if (Arena.capacity() * sizeof(T) > PooledArenaBytes)
+    Arena.shrink_to_fit();
+}
+
 class AgentSchedule {
 public:
+  /// Completion-table slot that no instance ever writes.
+  static constexpr uint32_t NoSlot = ~0u;
+
+  /// An index expression evaluated once per instance, with its two common
+  /// forms resolved up front: a constant, and the instance's own warpgroup
+  /// index.
+  struct IndexPlan {
+    const ScalarExpr *Expr = nullptr; ///< Null when constant or warpgroup.
+    int64_t Constant = 0;
+    bool IsWarpgroup = false;
+
+    static IndexPlan of(const ScalarExpr &E) {
+      IndexPlan P;
+      if (E.isConstant())
+        P.Constant = E.constantValue();
+      else if (E.isProcIndex(Processor::Warpgroup))
+        P.IsWarpgroup = true;
+      else
+        P.Expr = &E;
+      return P;
+    }
+    /// Value under \p Env, which binds replica \p Wg (or 0 for -1).
+    int64_t evaluate(const ScalarEnv &Env, int64_t Wg) const {
+      if (IsWarpgroup)
+        return std::max<int64_t>(Wg, 0);
+      return Expr ? Expr->evaluate(Env) : Constant;
+    }
+  };
+
   /// Per-op record of the dense op table. The static pre-walk assigns a
-  /// slot to every For/Copy/Call op of the grid body; expansion fills in
-  /// what depends on loop bounds.
+  /// slot to every For/Copy/Call op of the grid body; the sizing walk fills
+  /// in what depends on loop bounds.
   struct OpRec {
     const Operation *Op = nullptr;
     uint32_t Depth = 0;    ///< Number of enclosing sequential loops.
     uint32_t ChainOff = 0; ///< Enclosing loop ops (dense ids), in chain().
+    uint32_t PlanOff = 0, PlanCount = 0; ///< Precondition plan (Copy/Call).
+    int64_t WgExtent = 1; ///< warpgroupExtent(*Op).
     /// For `For` ops: the coordinate range this loop iterates over, across
     /// all its instantiations (min Lo .. max Hi-1). Sizes the completion
     /// slabs of every event produced under this loop.
     int64_t MinCoord = std::numeric_limits<int64_t>::max();
     int64_t MaxCoord = std::numeric_limits<int64_t>::min();
-    /// Reached by the expansion. Events of unreached producers (under a
-    /// zero-trip loop) get a depth-zero slab.
+    bool HasWgDim = false; ///< hasWarpgroupDim(*Op).
+    bool Dma = false;      ///< ownedByDmaAgent(Grid, *Op).
+    bool Nested = false;   ///< For: the body holds a For.
+    /// Reached with at least one instance (For: entered). Events of
+    /// unreached producers (under a zero-trip loop) get a depth-zero slab.
     bool Visited = false;
+  };
+
+  /// One precondition of one instance, resolved to completion slots: the
+  /// instance waits until Slot, Slot + Stride, ... (Count slots) have all
+  /// completed, then pays the barrier cost once when Barrier is set.
+  struct Wait {
+    uint32_t Slot = NoSlot; ///< NoSlot: can never be satisfied.
+    uint32_t Stride = 0;
+    uint32_t Count = 1;
+    bool Barrier = false;
   };
 
   /// One executable instance of an op. Variable-length payloads live in
@@ -104,19 +167,22 @@ public:
     uint32_t Depth = 0; ///< Enclosing loop count == coordinate count.
     uint32_t CoordOff = 0;
     uint32_t LoopOff = 0;
-    uint32_t PrecondOff = 0, PrecondCount = 0;
+    uint32_t WaitOff = 0, WaitCount = 0;
+    uint32_t ResultSlot = NoSlot; ///< Slot of its result event, if any.
   };
 
   /// Observer of the expansion, for executors that attach a static
-  /// per-instance payload (the simulator's shared-memory byte ranges).
-  /// Instances are reported in instance-table order.
+  /// per-instance payload (the simulator's costs and shared-memory byte
+  /// ranges).
   class ExpansionHook {
   public:
-    /// \p Env binds the instance's loop variables and warpgroup index;
-    /// \p Coords holds its \p Depth enclosing-loop iterations.
-    virtual void onInstance(const ScalarEnv &Env, const Operation &Op,
-                            int32_t Wg, const int64_t *Coords,
-                            uint32_t Depth) = 0;
+    /// Called once before the first instance, when the op table (numOps(),
+    /// op()) and its Visited flags are final.
+    virtual void onOps() = 0;
+    /// Called for each instance, in instance-table order, once it is
+    /// appended. \p Env binds the instance's loop variables and warpgroup
+    /// index.
+    virtual void onInstance(const ScalarEnv &Env, const InstRec &Inst) = 0;
 
   protected:
     ~ExpansionHook() = default; ///< Never owned through the hook.
@@ -148,22 +214,33 @@ public:
 
   /// True when every precondition of \p Inst has completed; \p WaitTime is
   /// then the latest completion value among them, plus \p BarrierCost per
-  /// broadcast wait.
-  bool ready(const InstRec &Inst, double BarrierCost, double &WaitTime) const;
+  /// broadcast wait. Otherwise \p Blocker is the first slot found
+  /// incomplete (NoSlot when the instance can never become ready).
+  bool ready(const InstRec &Inst, double BarrierCost, double &WaitTime,
+             uint32_t &Blocker) const;
 
-  /// Records that \p Inst completed at \p Completion: registers its result
-  /// event and credits every enclosing loop instance, completing a loop's
+  /// True when \p Slot has completed.
+  bool completed(uint32_t Slot) const {
+    return Slot != NoSlot && !std::isnan(Times[Slot]);
+  }
+
+  /// Records that \p Inst completed at \p Completion: fills its result
+  /// slot and credits every enclosing loop instance, completing a loop's
   /// event (at the latest body completion) when its last body instance
   /// finishes.
   void complete(const InstRec &Inst, double Completion);
 
 private:
-  /// One precondition of one instance, with the warpgroup index expression
-  /// already evaluated under the instance's environment.
-  struct PrecondDesc {
+  /// One precondition of one op, with what is fixed per op resolved: the
+  /// key length and the event type's warpgroup index and broadcast flag.
+  /// Events from outside the grid body and pipeline lags at depth zero are
+  /// vacuously satisfied and get no plan.
+  struct PrecondPlan {
     EventId Event = InvalidEventId;
+    uint32_t KeyLen = 0; ///< min(consumer depth, producer depth).
     int64_t IterLag = 0;
-    int32_t WantWg = -1; ///< Concrete warpgroup index; -1 when not indexed.
+    IndexPlan WgIndex;
+    bool HasWgIndex = false; ///< Names one warpgroup replica.
     bool Broadcast = false;
   };
 
@@ -189,36 +266,36 @@ private:
   struct LoopInst {
     int64_t Remaining = 0;
     double MaxTime = 0;
-    EventId Event = InvalidEventId;
+    uint32_t Slot = NoSlot; ///< The loop's event slot, if it has one.
   };
 
   void reset(size_t NumEvents, const SimHints *Hints);
   void indexOps(const IRBlock &Block);
   uint32_t assignDense(const Operation &Op);
+  void sizeBlock(const IRBlock &Block);
+  void buildEventTables();
+  void buildPlans();
   void expandBlock(const IRBlock &Block);
   void expandOp(const Operation &Op);
-  void pushInstance(const Operation &Op, uint32_t OpIdx, int64_t Wg,
+  void pushInstance(const OpRec &Rec, uint32_t OpIdx, int64_t Wg,
                     size_t Agent);
-  void buildEventTables();
+  void pushWaits(const OpRec &Rec, int64_t Wg);
   void fail(std::string Message);
+  bool pollCancel();
 
-  /// Strided linear index of the coordinate prefix Coords[0..Len) within
-  /// \p Rec's producer box, with the last coordinate replaced by \p Last
-  /// (pipeline lag). False when a coordinate falls outside the box (no
-  /// producer instance exists there).
-  bool coordIndex(const EventRec &Rec, const int64_t *Coords, uint32_t Len,
-                  int64_t Last, uint64_t &Out) const;
-  /// Completion value of one (event, warpgroup, iteration-prefix) key;
-  /// false when that instance has not completed (or can never exist).
-  bool lookup(const EventRec &Rec, int64_t Wg, const int64_t *Coords,
-              uint32_t KeyLen, int64_t Last, double &Out) const;
+  /// Slot of the key Coords[0..Len), with the last coordinate replaced by
+  /// \p Last (pipeline lag), in \p Rec's warpgroup slot 0; NoSlot when a
+  /// coordinate falls outside the producer's box (no producer instance
+  /// exists there).
+  uint32_t keySlot(const EventRec &Rec, const int64_t *Coords, uint32_t Len,
+                   int64_t Last) const;
 
   // Per-build inputs.
   const IRModule *Module = nullptr;
   const Operation *Grid = nullptr;
   const char *Client = "";
   ExpansionHook *Hook = nullptr;
-  CancelCheck Check; ///< Polled once per loop iteration of the expansion.
+  CancelCheck Check; ///< Polled once per loop iteration of both walks.
 
   size_t NumAgents = 0;
   int64_t Wgs = 1; ///< Widest warpgroup dim (static pre-walk).
@@ -227,6 +304,10 @@ private:
   // Expansion state: the enclosing loops' iterations and instance ids.
   std::vector<int64_t> CoordStack;
   std::vector<uint32_t> LoopPath;
+  /// Arena copies of CoordStack/LoopPath, shared by every instance pushed
+  /// until the next loop entry, iteration or exit marks them stale.
+  uint32_t FrameCoordOff = 0, FrameLoopOff = 0;
+  bool FrameStale = true;
   /// Bindings are overwritten in place and never erased: each
   /// erase/re-emplace pair would be a map-node allocation per loop
   /// iteration. The verifier guarantees expressions only reference
@@ -238,7 +319,8 @@ private:
   std::vector<std::vector<uint32_t>> Streams; ///< Instance indices per agent.
   std::vector<int64_t> Coords;                ///< Iteration-coordinate arena.
   std::vector<uint32_t> LoopPaths;            ///< Loop-instance-path arena.
-  std::vector<PrecondDesc> Preconds;
+  std::vector<Wait> Waits;                    ///< Per-instance waits.
+  std::vector<PrecondPlan> Plans;             ///< Per-op precondition plans.
   std::vector<OpRec> Ops;
   std::vector<uint32_t> OpDense; ///< OpId -> dense op index (~0u absent).
   std::vector<EventRec> Events;  ///< Indexed by EventId.
@@ -253,93 +335,33 @@ private:
 // Readiness and completion
 //===----------------------------------------------------------------------===//
 
-// The timing simulator calls ready() for every agent at every scheduling
-// step and complete() for every instance. They are forced inline: as
-// out-of-line calls they slowed the simulator's scheduling loop by a few
+// The timing simulator calls ready() for every agent head it has not
+// resolved yet and complete() for every instance. They are forced inline:
+// as out-of-line calls they slowed the simulator's scheduling loop by a few
 // percent.
 
 [[gnu::always_inline]] inline bool
-AgentSchedule::coordIndex(const EventRec &Rec, const int64_t *Coords,
-                          uint32_t Len, int64_t Last, uint64_t &Out) const {
-  uint64_t Idx = 0;
-  const uint32_t *Chain = ChainArena.data() + Rec.ChainOff;
-  for (uint32_t D = 0; D < Len; ++D) {
-    const OpRec &Loop = Ops[Chain[D]];
-    int64_t C = (D + 1 == Len) ? Last : Coords[D];
-    if (C < Loop.MinCoord || C > Loop.MaxCoord)
-      return false;
-    Idx = Idx * static_cast<uint64_t>(Loop.MaxCoord - Loop.MinCoord + 1) +
-          static_cast<uint64_t>(C - Loop.MinCoord);
-  }
-  Out = Idx;
-  return true;
-}
-
-[[gnu::always_inline]] inline bool
-AgentSchedule::lookup(const EventRec &Rec, int64_t Wg, const int64_t *Coords,
-                      uint32_t KeyLen, int64_t Last, double &Out) const {
-  // Producers register keys at their own depth; a shorter prefix
-  // (consumer shallower than producer) can never match.
-  if (KeyLen != Rec.Depth)
-    return false;
-  uint64_t Idx;
-  if (!coordIndex(Rec, Coords, KeyLen, Last, Idx))
-    return false;
-  uint64_t Slot = Wg < 0 ? 0 : static_cast<uint64_t>(Wg) + 1;
-  if (Slot >= Rec.WgSlots)
-    return false;
-  double T = Times[Rec.TimesOff + Slot * Rec.CoordCount + Idx];
-  if (std::isnan(T))
-    return false;
-  Out = T;
-  return true;
-}
-
-[[gnu::always_inline]] inline bool
 AgentSchedule::ready(const InstRec &Inst, double BarrierCost,
-                     double &WaitTime) const {
+                     double &WaitTime, uint32_t &Blocker) const {
   WaitTime = 0.0;
-  const PrecondDesc *P = Preconds.data() + Inst.PrecondOff;
-  const int64_t *InstCoords = Coords.data() + Inst.CoordOff;
-  for (uint32_t I = 0; I < Inst.PrecondCount; ++I, ++P) {
-    if (P->Event >= Events.size())
-      continue; // Reference to an event outside the module: ready.
-    const EventRec &Rec = Events[P->Event];
-    if (!Rec.Known)
-      continue; // Events from outside the grid body: host-level, ready.
-
-    uint32_t KeyLen = std::min<uint32_t>(Inst.Depth, Rec.Depth);
-    int64_t Last = KeyLen ? InstCoords[KeyLen - 1] : 0;
-    if (P->IterLag > 0) {
-      if (KeyLen == 0)
-        continue; // Lag at depth zero: vacuously satisfied.
-      Last -= P->IterLag;
-      if (Last < 0)
-        continue; // First PIPE iterations: buffer not yet reused.
+  const Wait *W = Waits.data() + Inst.WaitOff;
+  for (const Wait *End = W + Inst.WaitCount; W != End; ++W) {
+    if (W->Slot == NoSlot) {
+      Blocker = NoSlot;
+      return false;
     }
-
     double Cycle = 0.0;
-    if (Rec.WgReplicated) {
-      if (P->WantWg >= 0 && !P->Broadcast) {
-        if (!lookup(Rec, P->WantWg, InstCoords, KeyLen, Last, Cycle))
-          return false;
-      } else {
-        // Broadcast: every warpgroup replica must have completed.
-        int64_t Replicas = static_cast<int64_t>(NumAgents) - 1;
-        for (int64_t Wg = 0; Wg < Replicas; ++Wg) {
-          double T;
-          if (!lookup(Rec, Wg, InstCoords, KeyLen, Last, T))
-            return false;
-          Cycle = std::max(Cycle, T);
-        }
-        Cycle += BarrierCost;
-      }
-    } else {
-      if (!lookup(Rec, -1, InstCoords, KeyLen, Last, Cycle))
+    uint32_t Slot = W->Slot;
+    for (uint32_t I = 0; I < W->Count; ++I, Slot += W->Stride) {
+      double T = Times[Slot];
+      if (std::isnan(T)) {
+        Blocker = Slot;
         return false;
-      if (P->Broadcast)
-        Cycle += BarrierCost;
+      }
+      Cycle = std::max(Cycle, T);
     }
+    if (W->Barrier)
+      Cycle += BarrierCost;
     WaitTime = std::max(WaitTime, Cycle);
   }
   return true;
@@ -347,36 +369,20 @@ AgentSchedule::ready(const InstRec &Inst, double BarrierCost,
 
 [[gnu::always_inline]] inline void
 AgentSchedule::complete(const InstRec &Inst, double Completion) {
-  const int64_t *InstCoords = Coords.data() + Inst.CoordOff;
-  if (EventId Result = Inst.Op->Result; Result != InvalidEventId) {
-    const EventRec &Rec = Events[Result];
-    uint32_t KeyLen = Inst.Depth;
-    uint64_t Idx = 0;
-    bool InRange = coordIndex(Rec, InstCoords, KeyLen,
-                              KeyLen ? InstCoords[KeyLen - 1] : 0, Idx);
-    assert(InRange && KeyLen == Rec.Depth &&
-           "producer key outside its own coordinate box");
-    (void)InRange;
-    uint64_t Slot = Inst.Wg < 0 ? 0 : static_cast<uint64_t>(Inst.Wg) + 1;
-    Times[Rec.TimesOff + Slot * Rec.CoordCount + Idx] = Completion;
+  if (Inst.ResultSlot != NoSlot) {
+    assert(std::isnan(Times[Inst.ResultSlot]) && "slot completed twice");
+    Times[Inst.ResultSlot] = Completion;
   }
 
   // Credit every enclosing loop instance; the last body instance of a loop
-  // instance completes the loop's event at the loop's own depth
-  // (warpgroup slot -1), Figure 8's `for` events.
+  // instance completes the loop's event, Figure 8's `for` events.
   const uint32_t *Path = LoopPaths.data() + Inst.LoopOff;
   for (uint32_t D = 0; D < Inst.Depth; ++D) {
     LoopInst &Loop = Loops[Path[D]];
     Loop.MaxTime = std::max(Loop.MaxTime, Completion);
-    if (--Loop.Remaining == 0 && Loop.Event != InvalidEventId) {
-      const EventRec &Rec = Events[Loop.Event];
-      assert(Rec.Depth == D && "loop event keyed off its static depth");
-      uint64_t Idx = 0;
-      bool InRange =
-          coordIndex(Rec, InstCoords, D, D ? InstCoords[D - 1] : 0, Idx);
-      assert(InRange && "loop prefix outside its own coordinate box");
-      (void)InRange;
-      Times[Rec.TimesOff + Idx] = Loop.MaxTime;
+    if (--Loop.Remaining == 0 && Loop.Slot != NoSlot) {
+      assert(std::isnan(Times[Loop.Slot]) && "slot completed twice");
+      Times[Loop.Slot] = Loop.MaxTime;
     }
   }
 }

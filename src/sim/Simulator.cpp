@@ -12,12 +12,12 @@
 /// copies, matrix ops, and SIMT math are rewarded exactly as on Hopper.
 ///
 /// The timing model runs on the block's agent schedule (AgentSchedule.h),
-/// which it shares with the CPU lowering: per-agent instance streams,
-/// precondition descriptors, and a dense completion table whose readiness
+/// which it shares with the CPU lowering: per-agent instance streams whose
+/// waits are resolved to slots of a dense completion table, so readiness
 /// checks are array loads. The timer attaches only what is timing-specific
 /// — per-op costs and per-instance shared-memory byte ranges (recorded
-/// through the schedule's expansion hook) — and stores completion cycles
-/// in the table. The schedule and every timing table are pooled in a
+/// through the schedule's expansion hook) — stores completion cycles in
+/// the table, and caches each agent's head readiness between steps. The schedule and every timing table are pooled in a
 /// thread-local scratch that survives across simulation runs, which makes
 /// repeated `runTiming` calls (the autotuner's candidate evaluation loop)
 /// allocation-free in steady state.
@@ -50,6 +50,16 @@ struct Cost {
   enum class UnitKind : uint8_t { None, Tma, TensorCore } Unit = UnitKind::None;
 };
 
+/// One shared-memory operand of an op, planned once per op: an instance
+/// touches bytes [Offset + Buf * BufBytes, + BufBytes), with Buf its
+/// pipeline buffer index.
+struct SmemOperand {
+  TensorId Tensor = InvalidTensorId;
+  int64_t Offset = 0, BufBytes = 0;
+  AgentSchedule::IndexPlan Buf;
+  bool Write = false;
+};
+
 /// Static half of a shared-memory access trace entry; Start/End are filled
 /// in when the instance executes.
 struct SmemPre {
@@ -74,21 +84,38 @@ struct SmemAccess {
   size_t IterHash = 0;
 };
 
+/// Cached readiness of an agent's next instance. Exact because completion
+/// slots are written once: a ready head keeps its wait until its agent
+/// issues, and a blocked head cannot become ready before the slot it
+/// blocked on completes.
+struct AgentHead {
+  enum class State : uint8_t { Unknown, Ready, Blocked };
+  double Wait = 0.0;
+  uint32_t Blocker = AgentSchedule::NoSlot;
+  State Is = State::Unknown;
+};
+
 /// All per-run state of the timing simulator, pooled across runs: every
-/// table is cleared but keeps its capacity, so steady-state simulation
-/// performs no allocation. One scratch exists per thread (runTiming is
-/// const and may be called concurrently on shared kernels).
+/// table is cleared but keeps its capacity (up to PooledArenaBytes), so
+/// steady-state simulation performs no allocation. One scratch exists per
+/// thread (runTiming is const and may be called concurrently on shared
+/// kernels).
 struct TimerScratch {
   AgentSchedule Model;
   std::vector<Cost> Costs; ///< Per dense op (copies and calls reached).
+  /// Op I's shared-memory operands are
+  /// Operands[OperandBegin[I], OperandBegin[I + 1]).
+  std::vector<SmemOperand> Operands;
+  std::vector<uint32_t> OperandBegin;
   std::vector<SmemPre> SmemPres;
   /// Instance I's ranges are SmemPres[SmemBegin[I], SmemBegin[I + 1]).
   std::vector<uint32_t> SmemBegin;
-  std::vector<SmemAccess> Accesses;
+  std::vector<SmemAccess> Accesses; ///< In issue (= start) order.
   // Scheduler / race-detector scratch.
   std::vector<size_t> Cursor;
   std::vector<double> Ready;
-  std::vector<uint32_t> RaceOrder, RaceActive;
+  std::vector<AgentHead> Heads;
+  std::vector<uint32_t> ActiveReads, ActiveWrites;
 };
 
 TimerScratch &timerScratch() {
@@ -118,8 +145,8 @@ public:
     BlockEnv.ProcIndices[Processor::Warpgroup] = 0;
     BlockEnv.ProcIndices[Processor::Warp] = 0;
     BlockEnv.ProcIndices[Processor::Thread] = 0;
-    S.SmemPres.clear();
-    S.SmemBegin.clear();
+    clearPooled(S.SmemPres);
+    clearPooled(S.SmemBegin);
     if (Hints)
       S.SmemPres.reserve(Hints->NumOps);
     if (ErrorOrVoid Built = M.build(Module, Grid, BlockEnv, "simulation",
@@ -127,8 +154,7 @@ public:
         !Built)
       return Built.diagnostic();
     S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
-    computeCosts();
-    S.Accesses.clear();
+    clearPooled(S.Accesses);
     schedule();
     if (Failure)
       return *Failure;
@@ -143,49 +169,74 @@ public:
     return Result;
   }
 
-  //===--- Shared-memory ranges (expansion hook) --------------------------===//
+  //===--- Per-op plans and shared-memory ranges (expansion hook) ---------===//
+
+  /// Costs every reached copy and call and plans its shared-memory
+  /// operands.
+  void onOps() override {
+    uint32_t NumOps = static_cast<uint32_t>(M.numOps());
+    S.Costs.assign(NumOps, Cost());
+    clearPooled(S.Operands);
+    clearPooled(S.OperandBegin);
+    S.OperandBegin.resize(NumOps + 1);
+    for (uint32_t I = 0; I != NumOps; ++I) {
+      S.OperandBegin[I] = static_cast<uint32_t>(S.Operands.size());
+      const AgentSchedule::OpRec &Rec = M.op(I);
+      if (!Rec.Visited || Rec.Op->Kind == OpKind::For)
+        continue;
+      const Operation &Op = *Rec.Op;
+      S.Costs[I] = costOf(Op);
+      if (Op.Kind == OpKind::Copy) {
+        planOperand(Op.CopySrc, false);
+        planOperand(Op.CopyDst, true);
+      } else {
+        for (size_t A = 0; A < Op.Args.size(); ++A)
+          planOperand(Op.Args[A], Op.ArgIsWritten[A]);
+      }
+    }
+    S.OperandBegin[NumOps] = static_cast<uint32_t>(S.Operands.size());
+  }
 
   /// Records the byte ranges of the shared-memory operands of one instance
   /// (the buffer index evaluates under the instance's environment).
-  void onInstance(const ScalarEnv &Env, const Operation &Op, int32_t Wg,
-                  const int64_t *Coords, uint32_t Depth) override {
+  void onInstance(const ScalarEnv &Env,
+                  const AgentSchedule::InstRec &Inst) override {
     S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
-    size_t IterHash = 0;
-    for (uint32_t D = 0; D < Depth; ++D)
-      IterHash = IterHash * 1000003u + static_cast<size_t>(Coords[D] + 1);
-    auto Record = [&](const TensorSlice &Slice, bool Write) {
-      const IRTensor &T = Module.tensor(Slice.Tensor);
-      if (T.Mem != Memory::Shared)
-        return;
-      const SharedAllocation::Entry *Entry = Alloc.find(Slice.Tensor);
-      if (!Entry)
-        return;
-      int64_t BufBytes = Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1);
-      int64_t Buf = Slice.BufferIndex.evaluate(Env);
-      int64_t Lo = Entry->Offset + Buf * BufBytes;
-      S.SmemPres.push_back(
-          {Slice.Tensor, Op.Id, Lo, Lo + BufBytes, IterHash, Wg, Write});
-    };
-    if (Op.Kind == OpKind::Copy) {
-      Record(Op.CopySrc, false);
-      Record(Op.CopyDst, true);
-    } else if (Op.Kind == OpKind::Call) {
-      for (size_t I = 0; I < Op.Args.size(); ++I)
-        Record(Op.Args[I], Op.ArgIsWritten[I]);
+    uint32_t Begin = S.OperandBegin[Inst.OpIdx];
+    uint32_t End = S.OperandBegin[Inst.OpIdx + 1];
+    if (Begin == End)
+      return;
+    if (Inst.CoordOff != HashCoordOff) {
+      // Instances of one loop iteration share their coordinates' offset.
+      const int64_t *Coords = M.coords(Inst);
+      IterHash = 0;
+      for (uint32_t D = 0; D < Inst.Depth; ++D)
+        IterHash = IterHash * 1000003u + static_cast<size_t>(Coords[D] + 1);
+      HashCoordOff = Inst.CoordOff;
+    }
+    for (uint32_t I = Begin; I != End; ++I) {
+      const SmemOperand &O = S.Operands[I];
+      int64_t Lo = O.Offset + O.Buf.evaluate(Env, Inst.Wg) * O.BufBytes;
+      S.SmemPres.push_back({O.Tensor, Inst.Op->Id, Lo, Lo + O.BufBytes,
+                            IterHash, Inst.Wg, O.Write});
     }
   }
 
 private:
-  //===--- Cost model -------------------------------------------------------===//
-
-  void computeCosts() {
-    S.Costs.assign(M.numOps(), Cost());
-    for (uint32_t I = 0, E = static_cast<uint32_t>(M.numOps()); I != E; ++I) {
-      const AgentSchedule::OpRec &Rec = M.op(I);
-      if (Rec.Visited && Rec.Op->Kind != OpKind::For)
-        S.Costs[I] = costOf(*Rec.Op);
-    }
+  void planOperand(const TensorSlice &Slice, bool Write) {
+    const IRTensor &T = Module.tensor(Slice.Tensor);
+    if (T.Mem != Memory::Shared)
+      return;
+    const SharedAllocation::Entry *Entry = Alloc.find(Slice.Tensor);
+    if (!Entry)
+      return;
+    int64_t BufBytes = Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1);
+    S.Operands.push_back({Slice.Tensor, Entry->Offset, BufBytes,
+                          AgentSchedule::IndexPlan::of(Slice.BufferIndex),
+                          Write});
   }
+
+  //===--- Cost model -------------------------------------------------------===//
 
   Cost costOf(const Operation &Op) const {
     Cost C;
@@ -231,12 +282,15 @@ private:
     size_t NumAgents = M.numAgents();
     S.Cursor.assign(NumAgents, 0);
     S.Ready.assign(NumAgents, 0.0);
+    S.Heads.assign(NumAgents, AgentHead());
 
     // Time-ordered scheduling: of all agents whose next instruction has
     // satisfied preconditions, execute the one that can start earliest.
     // (Greedy per-agent draining would let one warpgroup book the shared
     // Tensor Core arbitrarily far ahead of its peers, which the hardware
-    // warp scheduler does not do.)
+    // warp scheduler does not do.) Every completion lands at or after the
+    // start of the instance that produced it, so instances issue in
+    // non-decreasing start order.
     while (true) {
       // Relaxation checkpoint: one strided poll per scheduling step, so a
       // deadline cuts even a pathological event graph off instead of
@@ -246,22 +300,30 @@ private:
         return;
       }
       size_t BestAgent = ~size_t(0);
-      double BestStart = 0.0, BestWait = 0.0;
+      double BestStart = 0.0;
       bool AnyPending = false;
       for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
         const std::vector<uint32_t> &Stream = M.stream(Agent);
         if (S.Cursor[Agent] >= Stream.size())
           continue;
         AnyPending = true;
-        double WaitTime = 0.0;
-        if (!M.ready(M.inst(Stream[S.Cursor[Agent]]), Config.BarrierLatency,
-                     WaitTime))
+        AgentHead &Head = S.Heads[Agent];
+        if (Head.Is == AgentHead::State::Blocked &&
+            !M.completed(Head.Blocker))
           continue;
-        double Start = std::max(S.Ready[Agent], WaitTime);
+        if (Head.Is != AgentHead::State::Ready) {
+          bool IsReady = M.ready(M.inst(Stream[S.Cursor[Agent]]),
+                                 Config.BarrierLatency, Head.Wait,
+                                 Head.Blocker);
+          Head.Is = IsReady ? AgentHead::State::Ready
+                            : AgentHead::State::Blocked;
+          if (!IsReady)
+            continue;
+        }
+        double Start = std::max(S.Ready[Agent], Head.Wait);
         if (BestAgent == ~size_t(0) || Start < BestStart) {
           BestAgent = Agent;
           BestStart = Start;
-          BestWait = WaitTime;
         }
       }
       if (!AnyPending)
@@ -277,8 +339,9 @@ private:
           }
       }
       executeInstance(M.stream(BestAgent)[S.Cursor[BestAgent]],
-                      S.Ready[BestAgent], BestWait);
+                      S.Ready[BestAgent], S.Heads[BestAgent].Wait);
       ++S.Cursor[BestAgent];
+      S.Heads[BestAgent] = AgentHead();
     }
     for (size_t Agent = 0; Agent < NumAgents; ++Agent)
       Finish = std::max(Finish, S.Ready[Agent]);
@@ -292,6 +355,8 @@ private:
     const Cost &C = S.Costs[Inst.OpIdx];
 
     double Start = std::max(Ready, WaitTime);
+    assert(Start >= LastStart && "instances issue in start order");
+    LastStart = Start;
     double Completion;
     if (C.Unit == Cost::UnitKind::Tma) {
       double UnitStart = std::max(Start + C.IssueCycles, TmaFree);
@@ -344,35 +409,37 @@ private:
     return AddrOverlap && TimeOverlap;
   }
 
-  /// Interval sweep over the access trace ordered by start time: an access
-  /// only needs checking against the accesses still in flight when it
-  /// starts, so the all-clear case (every healthy kernel) is near-linear.
+  /// Drops the accesses in \p Active that ended by \p B's start (they
+  /// cannot overlap any later access either) and checks the rest against
+  /// \p B.
+  bool sweepActive(std::vector<uint32_t> &Active, const SmemAccess &B) {
+    size_t Keep = 0;
+    for (uint32_t Idx : Active) {
+      const SmemAccess &A = S.Accesses[Idx];
+      if (A.End <= B.Start)
+        continue;
+      if (isRacePair(A, B))
+        return true;
+      Active[Keep++] = Idx;
+    }
+    Active.resize(Keep);
+    return false;
+  }
+
+  /// Interval sweep over the access trace, which is already in start
+  /// order: an access only needs checking against the accesses still in
+  /// flight when it starts, and a read only against in-flight writes, so
+  /// the all-clear case (every healthy kernel) is near-linear.
   bool anyRace() {
-    size_t N = S.Accesses.size();
-    if (N < 2)
-      return false;
-    S.RaceOrder.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      S.RaceOrder[I] = static_cast<uint32_t>(I);
-    std::sort(S.RaceOrder.begin(), S.RaceOrder.end(),
-              [&](uint32_t A, uint32_t B) {
-                return S.Accesses[A].Start < S.Accesses[B].Start ||
-                       (S.Accesses[A].Start == S.Accesses[B].Start && A < B);
-              });
-    S.RaceActive.clear();
-    for (uint32_t Idx : S.RaceOrder) {
+    clearPooled(S.ActiveReads);
+    clearPooled(S.ActiveWrites);
+    for (uint32_t Idx = 0, N = static_cast<uint32_t>(S.Accesses.size());
+         Idx != N; ++Idx) {
       const SmemAccess &B = S.Accesses[Idx];
-      size_t Keep = 0;
-      for (uint32_t ActiveIdx : S.RaceActive) {
-        const SmemAccess &A = S.Accesses[ActiveIdx];
-        if (A.End <= B.Start)
-          continue; // Expired: can never overlap anything later either.
-        if (isRacePair(A, B))
-          return true;
-        S.RaceActive[Keep++] = ActiveIdx;
-      }
-      S.RaceActive.resize(Keep);
-      S.RaceActive.push_back(Idx);
+      if (sweepActive(S.ActiveWrites, B) ||
+          (B.Write && sweepActive(S.ActiveReads, B)))
+        return true;
+      (B.Write ? S.ActiveWrites : S.ActiveReads).push_back(Idx);
     }
     return false;
   }
@@ -426,6 +493,10 @@ private:
   double TmaFree = 0, TcFree = 0;
   double TmaBusy = 0, TcBusy = 0;
   double Finish = 0, LastCompletion = 0;
+  double LastStart = 0; ///< Start of the latest issued instance.
+  /// Iteration hash of the coordinates at HashCoordOff.
+  size_t IterHash = 0;
+  uint32_t HashCoordOff = ~0u;
   double BlockFlops = 0;
   std::optional<Diagnostic> Failure;
 };

@@ -14,6 +14,7 @@
 #include "compiler/PassManager.h"
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
+#include "sim/AgentSchedule.h"
 #include "sim/LeafRegistry.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
@@ -390,4 +391,17 @@ TEST(RaceDetector, DroppedPipelineLagEdgesRaceOnReusedBuffer) {
   // windows move, not the block time.
   EXPECT_NEAR(Clean.BlockCycles, 66537.71, 0.01);
   EXPECT_NEAR(Racy.BlockCycles, 66537.71, 0.01);
+}
+
+TEST(PooledArena, ClearKeepsCapacityOnlyUpToTheCeiling) {
+  // The simulator's per-thread arenas survive across runs, but one
+  // outsized block must not pin its memory to the thread for good.
+  std::vector<double> Small(1024);
+  clearPooled(Small);
+  EXPECT_TRUE(Small.empty());
+  EXPECT_GE(Small.capacity(), 1024u);
+  std::vector<double> Outsized(PooledArenaBytes / sizeof(double) + 1);
+  clearPooled(Outsized);
+  EXPECT_TRUE(Outsized.empty());
+  EXPECT_EQ(Outsized.capacity(), 0u);
 }
