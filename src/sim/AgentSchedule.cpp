@@ -198,14 +198,9 @@ void AgentSchedule::sizeBlock(const IRBlock &Block) {
         break;
       Rec.MinCoord = std::min(Rec.MinCoord, Lo);
       Rec.MaxCoord = std::max(Rec.MaxCoord, Hi - 1);
-      if (!Rec.Nested) {
-        if (pollCancel())
-          return;
-        sizeBlock(Op->Body);
-        break;
-      }
+      int64_t End = Rec.Nested ? Hi : Lo + 1;
       int64_t &Var = Env.LoopVars[Op->LoopVar];
-      for (int64_t K = Lo; K < Hi && !Failure; ++K) {
+      for (int64_t K = Lo; K < End && !Failure; ++K) {
         if (pollCancel())
           return;
         Var = K;

@@ -17,10 +17,11 @@
 /// checks are array loads. The timer attaches only what is timing-specific
 /// — per-op costs and per-instance shared-memory byte ranges (recorded
 /// through the schedule's expansion hook) — stores completion cycles in
-/// the table, and caches each agent's head readiness between steps. The schedule and every timing table are pooled in a
-/// thread-local scratch that survives across simulation runs, which makes
-/// repeated `runTiming` calls (the autotuner's candidate evaluation loop)
-/// allocation-free in steady state.
+/// the table, and caches each agent's head readiness between steps. The
+/// schedule and every timing table are pooled in a thread-local scratch
+/// that survives across simulation runs, which makes repeated `runTiming`
+/// calls (the autotuner's candidate evaluation loop) allocation-free in
+/// steady state.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -46,7 +46,9 @@ namespace cypress {
 
 /// Timing constants of the simulated H100. Defaults are derived from the
 /// Hopper whitepaper/datasheet ratios; only relative magnitudes matter for
-/// reproducing the paper's figures (see docs/DESIGN.md).
+/// reproducing the paper's figures (see docs/DESIGN.md). Latencies must be
+/// non-negative and throughputs positive: the race sweep relies on every
+/// completion landing at or after its instance's start.
 struct SimConfig {
   double ClockGHz = 1.755;
   /// Dense FP16 Tensor Core throughput per SM (FLOP per cycle):

@@ -393,6 +393,83 @@ TEST(RaceDetector, DroppedPipelineLagEdgesRaceOnReusedBuffer) {
   EXPECT_NEAR(Racy.BlockCycles, 66537.71, 0.01);
 }
 
+namespace {
+
+/// One SIMT call of a hand-built block: its cost, and whether it reads or
+/// writes the block's one shared tile.
+struct TileCall {
+  double Flops = 0.0;
+  bool Touches = false;
+  bool Writes = false;
+};
+
+/// Times one warp-specialized block whose DMA agent runs \p Dma and whose
+/// one compute warpgroup runs \p Compute, with no event between them.
+SimResult timeUnsynchronized(std::initializer_list<TileCall> Dma,
+                             std::initializer_list<TileCall> Compute) {
+  IRModule Module;
+  TensorId Tile =
+      Module.addTensor("tile", TensorType{Shape({64}), ElementType::F32},
+                       Memory::Shared);
+  auto Grid = std::make_unique<Operation>();
+  Grid->Kind = OpKind::PFor;
+  Grid->Id = Module.freshOpId();
+  Grid->LoopVar = Module.freshLoopVar();
+  Grid->LoopHi = ScalarExpr(1);
+  Grid->PForProc = Processor::Block;
+  Grid->WarpSpecialize = true;
+  auto Append = [&](const TileCall &Call, bool OnDma) {
+    auto Op = std::make_unique<Operation>();
+    Op->Kind = OpKind::Call;
+    Op->Id = Module.freshOpId();
+    Op->Callee = "busy";
+    Op->Flops = Call.Flops;
+    Op->DmaAgent = OnDma;
+    if (Call.Touches) {
+      Op->Args.push_back(TensorSlice::whole(Tile));
+      Op->ArgIsWritten.push_back(Call.Writes);
+    }
+    Grid->Body.Ops.push_back(std::move(Op));
+  };
+  for (const TileCall &Call : Dma)
+    Append(Call, true);
+  for (const TileCall &Call : Compute)
+    Append(Call, false);
+  Module.root().Ops.push_back(std::move(Grid));
+
+  SharedAllocation Alloc;
+  Alloc.Entries.push_back({Tile, 0, 256});
+  Alloc.TotalBytes = 256;
+  Alloc.buildIndex();
+  ErrorOr<SimResult> Result =
+      simulate(Module, Alloc, SimConfig(), LeafRegistry::sharedBuiltins());
+  EXPECT_TRUE(Result) << (Result ? "" : Result.diagnostic().message());
+  return Result ? *Result : SimResult();
+}
+
+} // namespace
+
+TEST(RaceDetector, UnsynchronizedAccessesRaceInEitherOrder) {
+  // Both agents start at cycle 0. A short call delays the second access,
+  // which starts while the first, a long call, is still in flight.
+  const TileCall Short{2560.0, false, false};
+  const TileCall Read{0.0, true, false}, Write{0.0, true, true};
+  const TileCall LongRead{25600.0, true, false};
+  const TileCall LongWrite{25600.0, true, true};
+
+  SimResult WriteDuringRead = timeUnsynchronized({Short, Write}, {LongRead});
+  ASSERT_EQ(WriteDuringRead.Races.size(), 1u);
+  EXPECT_NE(WriteDuringRead.Races[0].find("between tile and tile"),
+            std::string::npos)
+      << WriteDuringRead.Races[0];
+
+  SimResult ReadDuringWrite = timeUnsynchronized({LongWrite}, {Short, Read});
+  EXPECT_EQ(ReadDuringWrite.Races.size(), 1u);
+
+  // Reads never race each other.
+  EXPECT_TRUE(timeUnsynchronized({LongRead}, {Short, Read}).Races.empty());
+}
+
 TEST(PooledArena, ClearKeepsCapacityOnlyUpToTheCeiling) {
   // The simulator's per-thread arenas survive across runs, but one
   // outsized block must not pin its memory to the thread for good.
