@@ -72,17 +72,18 @@ KernelReport runLadder(const char *Kernel, CompilerSession &Session,
 void printReport(const KernelReport &Report) {
   std::printf("== Guided autotune: %s (%zu points, %zu feasible) ==\n",
               Report.Kernel, Report.SpacePoints, Report.SpaceFeasible);
-  std::printf("%10s %8s %8s %10s %10s %10s %10s  %s\n", "budget", "evals",
-              "rounds", "pipelines", "cost-hits", "TFLOP/s", "wall ms",
-              "best mapping");
+  std::printf("%10s %8s %8s %10s %8s %10s %10s %10s  %s\n", "budget",
+              "evals", "rounds", "pipelines", "replays", "cost-hits",
+              "TFLOP/s", "wall ms", "best mapping");
   for (const BudgetRun &Run : Report.Runs) {
     const TuneResult &Result = Run.Result;
     const CandidateResult *Best = Result.best();
     double WallMs =
         Result.Curve.empty() ? 0.0 : Result.Curve.back().ElapsedMs;
-    std::printf("%10zu %8zu %8zu %10zu %10zu %10.1f %10.2f  %s\n",
+    std::printf("%10zu %8zu %8zu %10zu %8zu %10zu %10.1f %10.2f  %s\n",
                 Run.BudgetEvals, Result.Stats.Evals, Result.Stats.Rounds,
-                Result.Stats.PipelinesRun, Result.Stats.CostCacheHits,
+                Result.Stats.PipelinesRun, Result.Stats.PrefixReplays,
+                Result.Stats.CostCacheHits,
                 Best ? Best->TFlops : 0.0, WallMs,
                 Best ? Best->Point.str().c_str() : "-");
   }
@@ -110,9 +111,10 @@ void writeReportJson(std::FILE *Out, const KernelReport &Report, bool Last) {
     std::fprintf(Out,
                  "        {\"budget_evals\": %zu, \"evals\": %zu, "
                  "\"rounds\": %zu, \"pruned\": %zu, \"pipelines_run\": %zu, "
-                 "\"cost_cache_hits\": %zu, \"cost_cache_misses\": %zu,\n",
+                 "\"prefix_replays\": %zu, \"cost_cache_hits\": %zu, "
+                 "\"cost_cache_misses\": %zu,\n",
                  Run.BudgetEvals, Stats.Evals, Stats.Rounds, Stats.Pruned,
-                 Stats.PipelinesRun, Stats.CostCacheHits,
+                 Stats.PipelinesRun, Stats.PrefixReplays, Stats.CostCacheHits,
                  Stats.Evals - Stats.CostCacheHits);
     if (Best)
       std::fprintf(Out,

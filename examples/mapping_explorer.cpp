@@ -57,9 +57,9 @@ int main() {
 
   const TuneStats &Stats = Result.Stats;
   std::printf("\n%zu candidates: %zu pruned statically, %zu kernel-cache "
-              "hits, %zu pipelines run\n",
+              "hits, %zu pipelines run (%zu replayed the pass prefix)\n",
               Stats.Candidates, Stats.Pruned, Stats.SessionHits,
-              Stats.PipelinesRun);
+              Stats.PipelinesRun, Stats.PrefixReplays);
   if (const CandidateResult *Best = Result.best())
     std::printf("best mapping: %s (%.1f TFLOP/s)\n",
                 Best->Point.str().c_str(), Best->TFlops);
@@ -74,9 +74,10 @@ int main() {
   TuneResult Guided = Tuner.tuneBudgeted(
       gemmSearchSpec(Base, gemmGuidedAxes()), MachineModel::h100(), Budget);
   std::printf("\nguided search over the widened space: %zu evaluations in "
-              "%zu rounds, %zu pipelines run\n",
+              "%zu rounds, %zu pipelines run (%zu replayed the pass "
+              "prefix)\n",
               Guided.Stats.Evals, Guided.Stats.Rounds,
-              Guided.Stats.PipelinesRun);
+              Guided.Stats.PipelinesRun, Guided.Stats.PrefixReplays);
   if (const CandidateResult *Best = Guided.best())
     std::printf("guided best: %s (%.1f TFLOP/s)\n", Best->Point.str().c_str(),
                 Best->TFlops);

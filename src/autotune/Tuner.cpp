@@ -295,7 +295,8 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   // here, and threaded through every compile and timing run as Options.
   Cancellation Stop(Budget.DeadlineAt, Budget.Cancel);
   CancelCheck StopCheck(Stop);
-  CompileOptions Options{Budget.DeadlineAt, Budget.Cancel};
+  PrefixMemo Prefixes;
+  CompileOptions Options{Budget.DeadlineAt, Budget.Cancel, &Prefixes};
 
   // Already expired or cancelled on entry: nothing was searched, and
   // best-so-far is legitimately empty.
@@ -340,6 +341,7 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
     rankLandscape(Result.Landscape);
     Result.Curve.push_back({Result.Stats.Evals, BestTFlops(), ElapsedMs()});
     Result.Stats.Session = Session->cacheStats();
+    Result.Stats.PrefixReplays = Prefixes.replays();
     Result.Partial = Result.Stats.Quarantined > 0;
     return Result;
   }
@@ -489,6 +491,7 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   }
 
   Result.Stats.Session = Session->cacheStats();
+  Result.Stats.PrefixReplays = Prefixes.replays();
   Result.Partial = Result.Partial || Result.Stats.Quarantined > 0;
   rankLandscape(Result.Landscape);
   return Result;

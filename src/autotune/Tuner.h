@@ -97,6 +97,10 @@ struct TuneStats {
   size_t Compiled = 0;      ///< Candidates handed to the session.
   size_t SessionHits = 0;   ///< Of those, served from the kernel cache.
   size_t PipelinesRun = 0;  ///< Full pass-pipeline executions.
+  /// Of those, the runs that replayed their dependence-analysis ->
+  /// copy-elimination prefix from an earlier candidate with the same
+  /// mapping structure (see PrefixMemo) instead of running it.
+  size_t PrefixReplays = 0;
   size_t CompileErrors = 0;
   size_t Rounds = 0;        ///< Search rounds of a budgeted run.
   /// Evaluations that failed transiently (deadline, cancellation, load
@@ -209,6 +213,11 @@ public:
   /// searches hit the kernel cache and the cost cache instead of
   /// recompiling. Specs sharing a KernelName must therefore register the
   /// same task tree (true by construction for the KernelSpaces factories).
+  ///
+  /// Each search owns a PrefixMemo: candidates that differ only in the
+  /// mapping's depth and limit knobs (pipeline depths, exec-unit pins,
+  /// shared-memory cap) compile the pass prefix once and replay it for
+  /// the rest (TuneStats::PrefixReplays). The memo is freed on return.
   TuneResult tuneBudgeted(const KernelSearchSpec &Spec,
                           const MachineModel &Machine,
                           const TuneBudget &Budget,

@@ -393,10 +393,40 @@ public:
                     const std::string &Task, std::vector<TensorHandle> Args,
                     std::vector<ScalarExpr> Scalars);
 
-  /// Extent of the innermost pipelined enclosing loop (1 when none).
-  int64_t currentPipelineDepth() const { return PipelineStack.back(); }
-  void pushPipeline(int64_t Depth) { PipelineStack.push_back(Depth); }
-  void popPipeline() { PipelineStack.pop_back(); }
+  //===--- Mapping stamps --------------------------------------------------===//
+  //
+  // The depth knobs are not written while traversing: each site records
+  // which mapping entry its value comes from, and run() applies the table
+  // once at the end (applyMappingStamps), so a sibling mapping that differs
+  // only in those knobs can re-stamp a copy of the lowered IR instead of
+  // re-running the analysis.
+
+  /// Position of \p Instance in the mapping's instance list.
+  uint32_t instanceIndex(const TaskMapping &Instance) const {
+    return static_cast<uint32_t>(&Instance -
+                                 Input.Mapping->instances().data());
+  }
+
+  /// The instance owning the innermost enclosing srange.
+  void pushLoopOwner(const TaskMapping &Instance) {
+    LoopOwners.push_back(instanceIndex(Instance));
+  }
+  void popLoopOwner() { LoopOwners.pop_back(); }
+
+  void stampTensor(TensorId Tensor, Memory Mem, const TaskMapping *Owner,
+                   const std::string &Param) {
+    MappingStamps::TensorStamp &S = Stamps.Tensors.emplace_back();
+    S.Tensor = Tensor;
+    S.Shared = Mem == Memory::Shared;
+    S.Loop = LoopOwners.back();
+    if (Owner) {
+      S.Owner = instanceIndex(*Owner);
+      S.Param = Param;
+    }
+  }
+  void stampLoop(OpId Op, const TaskMapping &Instance) {
+    Stamps.Loops.push_back({Op, instanceIndex(Instance)});
+  }
 
   /// Processor of the child instances launched inside the current prange
   /// body (discovered at the first launch), plus whether those instances
@@ -411,12 +441,14 @@ private:
   IRModule Module;
   ScopeStack &Stack = scopeStack();
   std::vector<IRBlock *> Blocks;
-  std::vector<int64_t> PipelineStack{1};
+  std::vector<uint32_t> LoopOwners{MappingStamps::NoInstance};
   unsigned EventCounter = 0;
   std::optional<Diagnostic> Failure;
 
 public:
   std::optional<Diagnostic> takeFailure() { return std::move(Failure); }
+
+  MappingStamps Stamps;
 };
 
 //===----------------------------------------------------------------------===//
@@ -463,10 +495,9 @@ TensorHandle AnalysisContext::makeTensor(const std::string &Name, Shape Dims,
   TensorId Id = A.module().addTensor(
       Instance.Instance + "." + Name, TensorType{std::move(Dims), Element},
       Mem);
-  IRTensor &T = A.module().tensor(Id);
-  T.HomeProc = Instance.Proc;
-  T.PipelineDepth =
-      (Mem == Memory::Shared) ? A.currentPipelineDepth() : 1;
+  A.module().tensor(Id).HomeProc = Instance.Proc;
+  if (Mem == Memory::Shared)
+    A.stampTensor(Id, Mem, /*Owner=*/nullptr, /*Param=*/"");
   Operation &Alloc = A.emit(OpKind::Alloc);
   Alloc.AllocTensor = Id;
   Alloc.ExecProc = Instance.Proc;
@@ -549,15 +580,15 @@ void AnalysisContext::srange(ScalarExpr Extent,
   Loop.LoopLo = ScalarExpr(0);
   Loop.LoopHi = Extent;
   Loop.ExecProc = Instance.Proc;
-  Loop.ForPipeline = Instance.PipelineDepth;
+  A.stampLoop(Loop.Id, Instance);
   Loop.Result = A.freshEvent();
   A.module().event(Loop.Result).Producer = Loop.Id;
 
-  A.pushPipeline(Instance.PipelineDepth);
+  A.pushLoopOwner(Instance);
   size_t External = A.withLoopScope(
       Loop.Body,
       [&] { Body(ScalarExpr::loopVar(Var, Loop.LoopVarName)); });
-  A.popPipeline();
+  A.popLoopOwner();
 
   if (!Loop.Body.Ops.empty()) {
     // Yield the completion of the final operation with a result event.
@@ -733,19 +764,8 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
     NameBuf.append(Tag, formatTag(Tag, '.', ++TempCounter));
     TensorId Id = Module.addTensor(NameBuf, TensorType{ArgShape, Elem},
                                    Child.Mems[I]);
-    IRTensor &T = Module.tensor(Id);
-    T.HomeProc = Child.Proc;
-    T.PipelineDepth =
-        (Child.Mems[I] == Memory::Shared) ? currentPipelineDepth() : 1;
-    // The mapping may pin this parameter's multi-buffering depth (the
-    // per-tensor pipeline axis); absent entries keep the loop's depth.
-    if (Child.Mems[I] == Memory::Shared && !Child.ArgPipeline.empty())
-      if (auto It = Child.ArgPipeline.find(Variant.Params[I].Name);
-          It != Child.ArgPipeline.end())
-        T.PipelineDepth = It->second;
-    for (const std::string &Simt : Child.SimtCopyParams)
-      if (Simt == Variant.Params[I].Name)
-        T.ForceSimtCopy = true;
+    Module.tensor(Id).HomeProc = Child.Proc;
+    stampTensor(Id, Child.Mems[I], &Child, Variant.Params[I].Name);
     Operation &Alloc = emit(OpKind::Alloc);
     Alloc.AllocTensor = Id;
     Alloc.ExecProc = Child.Proc;
@@ -885,24 +905,77 @@ ErrorOr<IRModule> Analysis::run() {
   if (std::optional<Diagnostic> Failed = takeFailure())
     return *Failed;
 
+  applyMappingStamps(Module, Stamps, Mapping);
   if (ErrorOrVoid Valid = verifyModule(Module); !Valid)
     return Valid.diagnostic();
   return std::move(Module);
 }
 
+/// Sets ForPipeline on every For op \p Loops names (a handful per kernel,
+/// so the per-op lookup is a short scan).
+void stampLoops(IRBlock &Block,
+                const std::vector<MappingStamps::LoopStamp> &Loops,
+                const std::vector<TaskMapping> &Instances) {
+  for (std::unique_ptr<Operation> &Op : Block.Ops) {
+    if (Op->Kind == OpKind::For)
+      for (const MappingStamps::LoopStamp &Stamp : Loops)
+        if (Stamp.Op == Op->Id) {
+          Op->ForPipeline = Instances[Stamp.Instance].PipelineDepth;
+          break;
+        }
+    if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
+      stampLoops(Op->Body, Loops, Instances);
+  }
+}
+
 } // namespace
 
-ErrorOr<IRModule> cypress::runDependenceAnalysis(const CompileInput &Input) {
+void cypress::applyMappingStamps(IRModule &Module, const MappingStamps &Stamps,
+                                 const MappingSpec &Mapping) {
+  const std::vector<TaskMapping> &Instances = Mapping.instances();
+  for (const MappingStamps::TensorStamp &Stamp : Stamps.Tensors) {
+    const TaskMapping *Owner = Stamp.Owner == MappingStamps::NoInstance
+                                   ? nullptr
+                                   : &Instances[Stamp.Owner];
+    int64_t Depth = 1;
+    if (Stamp.Shared) {
+      if (Stamp.Loop != MappingStamps::NoInstance)
+        Depth = Instances[Stamp.Loop].PipelineDepth;
+      // The mapping may pin this parameter's multi-buffering depth (the
+      // per-tensor pipeline axis); absent entries keep the loop's depth.
+      if (Owner)
+        if (auto It = Owner->ArgPipeline.find(Stamp.Param);
+            It != Owner->ArgPipeline.end())
+          Depth = It->second;
+    }
+    bool Simt = false;
+    if (Owner)
+      for (const std::string &Param : Owner->SimtCopyParams)
+        Simt |= Param == Stamp.Param;
+    IRTensor &T = Module.tensor(Stamp.Tensor);
+    T.PipelineDepth = Depth;
+    T.ForceSimtCopy = Simt;
+  }
+  if (!Stamps.Loops.empty())
+    stampLoops(Module.root(), Stamps.Loops, Instances);
+}
+
+ErrorOr<IRModule> cypress::runDependenceAnalysis(const CompileInput &Input,
+                                                 MappingStamps *StampsOut) {
   assert(Input.Registry && Input.Mapping && Input.Machine &&
          "compile input missing components");
   Analysis A(Input);
-  return A.run();
+  ErrorOr<IRModule> Module = A.run();
+  if (Module && StampsOut)
+    *StampsOut = std::move(A.Stamps);
+  return Module;
 }
 
 std::unique_ptr<Pass> cypress::createDependenceAnalysisPass() {
   return std::make_unique<FunctionPass>(
       "dependence-analysis", [](PipelineState &State) -> ErrorOrVoid {
-        ErrorOr<IRModule> Module = runDependenceAnalysis(*State.Input);
+        ErrorOr<IRModule> Module =
+            runDependenceAnalysis(*State.Input, &State.Stamps);
         if (!Module)
           return Module.diagnostic();
         State.Module = std::move(*Module);

@@ -13,7 +13,10 @@
 /// (set CYPRESS_PRINT_IR_AFTER_ALL, or call setPrintIRAfterAll).
 ///
 /// `PassPipeline::defaultPipeline().run(Input)` is the one-call driver from
-/// a CompileInput to the final IRModule that the emitters consume.
+/// a CompileInput to the final IRModule that the emitters consume. A
+/// PrefixMemo handed to run() lets candidates of one search that share a
+/// mapping structure replay the dependence-analysis -> copy-elimination
+/// prefix instead of recomputing it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +28,13 @@
 #include "support/Cancel.h"
 #include "support/Error.h"
 
+#include <atomic>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace cypress {
@@ -39,6 +45,8 @@ namespace cypress {
 struct PipelineState {
   const CompileInput *Input = nullptr;
   IRModule Module;
+  /// Where dependence analysis took Module's mapping-stamped fields from.
+  MappingStamps Stamps;
   SharedAllocation Alloc;
   /// Work counters for the pass currently running; reset by the pipeline
   /// before each pass and copied into that pass's PassStat afterwards.
@@ -64,6 +72,10 @@ struct PassStat {
                             ///< when the pipeline's CountAllocs opt-in is
                             ///< set and the AllocCounter hook is live;
                             ///< zero otherwise).
+  /// True when the pass was replayed from a PrefixMemo entry instead of
+  /// run: the IR-size and rewrite counters are the memoized run's, while
+  /// Micros / VerifyMicros / HeapAllocs are what this run actually spent.
+  bool Replayed = false;
 };
 
 /// Statistics for one full pipeline run.
@@ -78,6 +90,50 @@ struct PipelineStats {
         return &S;
     return nullptr;
   }
+};
+
+/// The state after a pipeline's replayable prefix for one mapping
+/// structure, as the first candidate of that structure computed it.
+struct PrefixEntry {
+  /// The module after the prefix, stamped for the mapping that built it.
+  IRModule Module;
+  MappingStamps Stamps;
+  /// The prefix passes' stat rows, in pipeline order.
+  std::vector<PassStat> Stats;
+};
+
+/// A memo of pipeline prefixes keyed by mapping structure (the session's
+/// cache key over MappingSpec::structureFingerprint). It lives for one
+/// autotuning search: the tuner creates it, hands it to every compile of
+/// the search, and frees it when the search returns. Only prefixes that
+/// completed (including their verification) are stored; concurrent
+/// compiles of one structure may both run the prefix, and the first to
+/// finish is kept. Thread-safe.
+class PrefixMemo {
+public:
+  std::shared_ptr<const PrefixEntry> find(const std::string &Key) const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto It = Entries.find(Key);
+    return It == Entries.end() ? nullptr : It->second;
+  }
+  void insert(const std::string &Key,
+              std::shared_ptr<const PrefixEntry> Entry) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Entries.emplace(Key, std::move(Entry));
+  }
+  size_t size() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Entries.size();
+  }
+
+  /// Pipeline runs that replayed their prefix from this memo.
+  size_t replays() const { return Replays.load(std::memory_order_relaxed); }
+  void noteReplay() { Replays.fetch_add(1, std::memory_order_relaxed); }
+
+private:
+  mutable std::mutex Mutex;
+  std::unordered_map<std::string, std::shared_ptr<const PrefixEntry>> Entries;
+  std::atomic<size_t> Replays{0};
 };
 
 /// One registered pipeline stage.
@@ -143,10 +199,19 @@ public:
   bool countAllocs() const { return CountAllocs; }
 
   /// Dump the IR to the print stream after every pass. The environment
-  /// variable CYPRESS_PRINT_IR_AFTER_ALL enables this too.
+  /// variable CYPRESS_PRINT_IR_AFTER_ALL enables this too. While dumping,
+  /// the pipeline never replays a prefix, so every dump is a real run.
   void setPrintIRAfterAll(bool Enable) { PrintIRAfterAll = Enable; }
   /// Where dumps go; defaults to stderr.
   void setPrintStream(std::ostream &OS) { PrintStream = &OS; }
+
+  /// Declares the first \p N passes replayable: they read no mapping knob
+  /// that MappingSpec::structureFingerprint leaves out, and the first of
+  /// them is dependence analysis, which records the stamp table. 0 (the
+  /// default) disables replay; defaultPipeline() sets 3 (dependence
+  /// analysis, vectorization, copy elimination).
+  void setReplayablePrefix(size_t N) { ReplayablePrefix = N; }
+  size_t replayablePrefix() const { return ReplayablePrefix; }
 
   /// Runs every pass in order. On success returns the final module and
   /// fills \p AllocOut / \p StatsOut when non-null; on failure returns the
@@ -162,10 +227,22 @@ public:
   /// the way out: the pipeline is a pure function of its input, so its
   /// own rejections are deterministic and safe to memoize — unlike
   /// checkpoint exits and injected faults, which keep transient codes.
+  ///
+  /// With a \p Memo (and a replayable prefix), \p MemoKey names the
+  /// input's mapping structure. On a hit the prefix passes are replayed:
+  /// dependence analysis validates the mapping, clones the memoized
+  /// module and applies this mapping's stamps; the other prefix passes do
+  /// nothing. Each replayed pass keeps its between-pass checkpoint, its
+  /// fault sites and its stat row (PassStat::Replayed); its verification
+  /// is skipped, since the module differs from the verified one only in
+  /// stamped fields the verifier does not read. On a miss the prefix runs
+  /// and, once it completes, is stored under \p MemoKey.
   ErrorOr<IRModule> run(const CompileInput &Input,
                         SharedAllocation *AllocOut = nullptr,
                         PipelineStats *StatsOut = nullptr,
-                        const Cancellation *Cancel = nullptr) const;
+                        const Cancellation *Cancel = nullptr,
+                        PrefixMemo *Memo = nullptr,
+                        const std::string &MemoKey = std::string()) const;
 
   /// The Section 4.2 lowering pipeline: the five IR-to-IR stages with the
   /// two repair helpers registered between them. Stage 6 (code
@@ -174,10 +251,15 @@ public:
   static PassPipeline defaultPipeline();
 
 private:
+  static ErrorOrVoid replayPass(size_t Index, const PrefixEntry &Entry,
+                                const CompileInput &Input,
+                                PipelineState &State);
+
   std::vector<std::unique_ptr<Pass>> Passes;
   bool VerifyEachPass = true;
   bool CountAllocs = false;
   bool PrintIRAfterAll = false;
+  size_t ReplayablePrefix = 0;
   std::ostream *PrintStream = nullptr; ///< nullptr = stderr.
 };
 

@@ -44,11 +44,53 @@ struct CompileInput {
   std::vector<TensorType> EntryArgTypes;
 };
 
+/// Where dependence analysis took each mapping-stamped IR field from: the
+/// three fields that carry the mapping's depth knobs into the IR
+/// (IRTensor::PipelineDepth, IRTensor::ForceSimtCopy and
+/// Operation::ForPipeline). Instances are positions in
+/// MappingSpec::instances(), so one table serves every mapping with the
+/// same structure fingerprint.
+struct MappingStamps {
+  static constexpr uint32_t NoInstance = ~0u;
+
+  struct TensorStamp {
+    TensorId Tensor = InvalidTensorId;
+    /// Only shared tensors are multi-buffered; others keep depth 1.
+    bool Shared = false;
+    /// The instance whose srange is the innermost enclosing loop (its
+    /// PipelineDepth), or NoInstance outside every loop.
+    uint32_t Loop = NoInstance;
+    /// For launch-created tensors: the launched instance and its
+    /// parameter, whose ArgPipeline entry overrides the loop depth and
+    /// whose SimtCopyParams entry pins the copies to SIMT. NoInstance for
+    /// make_tensor temporaries.
+    uint32_t Owner = NoInstance;
+    std::string Param;
+  };
+
+  /// A For op created by an srange of \p Instance (its PipelineDepth).
+  struct LoopStamp {
+    OpId Op = ~0u;
+    uint32_t Instance = NoInstance;
+  };
+
+  std::vector<TensorStamp> Tensors;
+  std::vector<LoopStamp> Loops;
+};
+
+/// Writes the three mapping-stamped fields of \p Module from \p Mapping,
+/// as \p Stamps records them. Fields without a stamp keep their defaults
+/// (depth 1, not pinned), which no mapping changes.
+void applyMappingStamps(IRModule &Module, const MappingStamps &Stamps,
+                        const MappingSpec &Mapping);
+
 /// Stage 1 (Section 4.2.1): interprets the instantiated task tree under the
 /// mapping, enforcing privileges, inserting copy-in/copy-out data movement,
 /// and chaining events to encode all true and anti dependencies. Produces
-/// the event IR of Figure 8.
-ErrorOr<IRModule> runDependenceAnalysis(const CompileInput &Input);
+/// the event IR of Figure 8, with its mapping stamps applied; \p StampsOut
+/// (when given) receives the stamp table.
+ErrorOr<IRModule> runDependenceAnalysis(const CompileInput &Input,
+                                        MappingStamps *StampsOut = nullptr);
 
 /// Stage 2 (Section 4.2.2): flattens the implicit intra-block parallel
 /// loops (warpgroup / warp / thread pfors), substituting induction variables

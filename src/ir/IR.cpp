@@ -56,6 +56,21 @@ std::unique_ptr<Operation> Operation::clone() const {
   return Copy;
 }
 
+IRModule IRModule::clone() const {
+  IRModule Copy;
+  Copy.Tensors = Tensors;
+  Copy.Partitions = Partitions;
+  Copy.Events = Events;
+  Copy.Root.Ops.reserve(Root.Ops.size());
+  for (const std::unique_ptr<Operation> &Op : Root.Ops)
+    Copy.Root.Ops.push_back(Op->clone());
+  Copy.Root.Yield = Root.Yield;
+  Copy.EntryArgs = EntryArgs;
+  Copy.NextLoopVar = NextLoopVar;
+  Copy.NextOpId = NextOpId;
+  return Copy;
+}
+
 TensorId IRModule::addTensor(std::string Name, TensorType Type, Memory Mem) {
   if (Tensors.empty())
     Tensors.reserve(64); // IRTensor carries strings; skip doubling churn.

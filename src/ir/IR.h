@@ -305,6 +305,11 @@ public:
   IRModule(IRModule &&) = default;
   IRModule &operator=(IRModule &&) = default;
 
+  /// Deep copy: fresh operations with the same ids, the same arenas, and
+  /// the same freshOpId / freshLoopVar counters, so passes run on the
+  /// clone produce exactly what they would on the original.
+  IRModule clone() const;
+
   //===--- Arena construction ----------------------------------------===//
 
   TensorId addTensor(std::string Name, TensorType Type, Memory Mem);

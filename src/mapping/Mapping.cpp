@@ -34,7 +34,7 @@ const TaskMapping &MappingSpec::entrypoint() const {
   cypressUnreachable("mapping has no entrypoint instance");
 }
 
-std::string MappingSpec::fingerprint() const {
+std::string MappingSpec::serialize(bool Knobs) const {
   std::ostringstream OS;
   OS << "mapping{";
   for (const TaskMapping &Inst : Instances) {
@@ -53,14 +53,19 @@ std::string MappingSpec::fingerprint() const {
     OS << "}c{";
     for (const std::string &Call : Inst.Calls)
       OS << Call << ',';
-    OS << "}a{";
-    for (const auto &[Key, Value] : Inst.ArgPipeline)
-      OS << Key << '=' << Value << ',';
-    for (const std::string &Param : Inst.SimtCopyParams)
-      OS << Param << "=simt,";
-    OS << '}' << (Inst.Entrypoint ? 'E' : '-')
-       << (Inst.WarpSpecialize ? 'W' : '-') << 'p' << Inst.PipelineDepth
-       << 's' << Inst.SharedLimitBytes << ' ';
+    OS << '}';
+    if (Knobs) {
+      OS << "a{";
+      for (const auto &[Key, Value] : Inst.ArgPipeline)
+        OS << Key << '=' << Value << ',';
+      for (const std::string &Param : Inst.SimtCopyParams)
+        OS << Param << "=simt,";
+      OS << '}';
+    }
+    OS << (Inst.Entrypoint ? 'E' : '-') << (Inst.WarpSpecialize ? 'W' : '-');
+    if (Knobs)
+      OS << 'p' << Inst.PipelineDepth << 's' << Inst.SharedLimitBytes;
+    OS << ' ';
   }
   OS << '}';
   return OS.str();

@@ -104,7 +104,17 @@ public:
   /// lower identically, so mappings are comparable and hashable as values —
   /// the CompilerSession kernel-cache key and the autotuner's cost cache
   /// are both built on this.
-  std::string fingerprint() const;
+  std::string fingerprint() const { return serialize(/*Knobs=*/true); }
+
+  /// The fingerprint without the four depth/limit knobs (PipelineDepth,
+  /// ArgPipeline, SimtCopyParams, SharedLimitBytes). Dependence analysis,
+  /// vectorization and copy elimination never read those knobs; they only
+  /// stamp them into the IR (see applyMappingStamps), so two specs with
+  /// equal structure fingerprints share their post-copy-elimination IR up
+  /// to the stamps. The autotuner's prefix memo is keyed on this.
+  std::string structureFingerprint() const {
+    return serialize(/*Knobs=*/false);
+  }
 
   /// Content equality (fingerprint comparison). Enumerated candidate specs
   /// from the autotuner compare by what they say, never by address.
@@ -125,6 +135,8 @@ public:
                        const MachineModel &Machine) const;
 
 private:
+  std::string serialize(bool Knobs) const;
+
   std::vector<TaskMapping> Instances;
   std::map<std::string, size_t> Index;
 };

@@ -18,7 +18,10 @@
 
 using namespace cypress;
 
-CompilerSession::CompilerSession(SessionConfig Config) : Config(Config) {}
+CompilerSession::CompilerSession(SessionConfig Config)
+    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {
+  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
+}
 
 CompilerSession::~CompilerSession() {
   Accepting.store(false);
@@ -245,15 +248,10 @@ void appendMachine(std::ostringstream &OS, const MachineModel &Machine) {
   OS << '}';
 }
 
-} // namespace
-
-std::string CompilerSession::cacheKey(const CompileInput &Input) {
+std::string inputKey(const CompileInput &Input, const std::string &Mapping) {
   std::ostringstream OS;
   appendRegistry(OS, *Input.Registry);
-  // The mapping serializes itself: specs are content-keyed values (see
-  // MappingSpec::fingerprint), which is what lets the autotuner's cost
-  // cache and this kernel cache agree on candidate identity.
-  OS << '|' << Input.Mapping->fingerprint() << '|';
+  OS << '|' << Mapping << '|';
   appendMachine(OS, *Input.Machine);
   OS << "|args{";
   for (const TensorType &Type : Input.EntryArgTypes) {
@@ -262,6 +260,19 @@ std::string CompilerSession::cacheKey(const CompileInput &Input) {
   }
   OS << '}';
   return OS.str();
+}
+
+} // namespace
+
+std::string CompilerSession::cacheKey(const CompileInput &Input) {
+  // The mapping serializes itself: specs are content-keyed values (see
+  // MappingSpec::fingerprint), which is what lets the autotuner's cost
+  // cache and this kernel cache agree on candidate identity.
+  return inputKey(Input, Input.Mapping->fingerprint());
+}
+
+std::string CompilerSession::structureKey(const CompileInput &Input) {
+  return inputKey(Input, Input.Mapping->structureFingerprint());
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,7 +286,8 @@ CompilerSession::compile(const CompileInput &Input, const std::string &Name,
     return shedDiagnostic();
   Cancellation Cancel(Options.DeadlineAt, Options.Cancel, &SessionCancel);
   bool WasHit = false;
-  auto Result = compileKeyed(cacheKey(Input), Input, Name, WasHit, Cancel);
+  auto Result = compileKeyed(cacheKey(Input), Input, Name, WasHit, Cancel,
+                             Options.Prefixes);
   release(1);
   return Result;
 }
@@ -283,7 +295,8 @@ CompilerSession::compile(const CompileInput &Input, const std::string &Name,
 ErrorOr<std::shared_ptr<const CompiledKernel>>
 CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
                               const std::string &Name, bool &WasHit,
-                              const Cancellation &Cancel) {
+                              const Cancellation &Cancel,
+                              PrefixMemo *Prefixes) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Cache.find(Key);
@@ -311,8 +324,6 @@ CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
   // every caller shares it.
   SharedAllocation Alloc;
   PipelineStats PassStats;
-  PassPipeline Pipeline = PassPipeline::defaultPipeline();
-  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
   ErrorOr<IRModule> Module = [&]() -> ErrorOr<IRModule> {
     // Worker-throw containment: a pass that throws (modeled by the
     // worker-throw fault site) must cost exactly one request, not a pool
@@ -327,7 +338,10 @@ CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
           Faults.shouldFire(FaultSite::WorkerThrow,
                             Input.Mapping->fingerprint()))
         throw std::runtime_error("injected worker exception");
-      return Pipeline.run(Input, &Alloc, &PassStats, &Cancel);
+      if (!Prefixes)
+        return Pipeline.run(Input, &Alloc, &PassStats, &Cancel);
+      return Pipeline.run(Input, &Alloc, &PassStats, &Cancel, Prefixes,
+                          structureKey(Input));
     } catch (const std::exception &E) {
       return Diagnostic(Diagnostic::Code::Internal,
                         formatString("worker exception while compiling "
@@ -379,7 +393,7 @@ CompilerSession::compileAll(const std::vector<Request> &Requests,
     try {
       Slots[I].emplace(compileKeyed(
           R.Key.empty() ? cacheKey(R.Input) : R.Key, R.Input, R.Name,
-          WasHit, Cancel));
+          WasHit, Cancel, Options.Prefixes));
     } catch (...) {
       Slots[I].emplace(Diagnostic(
           Diagnostic::Code::Internal,

@@ -66,12 +66,20 @@ struct SessionConfig {
   size_t MaxQueuedRequests = 0;
 };
 
-/// Per-request serving options: an optional wall-clock deadline and an
-/// optional caller-held cancellation token. Defaults are fully inert (the
-/// session-wide abort token is always honored regardless).
+/// Per-request serving options: an optional wall-clock deadline, an
+/// optional caller-held cancellation token, and an optional prefix memo.
+/// Defaults are fully inert (the session-wide abort token is always
+/// honored regardless).
 struct CompileOptions {
   Deadline DeadlineAt;
   const CancelToken *Cancel = nullptr;
+  /// A search-scoped memo of pipeline prefixes (see PrefixMemo): cache
+  /// misses whose mapping structure it already holds replay dependence
+  /// analysis through copy elimination instead of running them. The
+  /// caller owns it and keeps it alive across the call. Replayed kernels
+  /// are identical to fresh ones, so the kernel cache and its keys are
+  /// unaffected.
+  PrefixMemo *Prefixes = nullptr;
 };
 
 /// How CompilerSession::shutdown treats in-flight work: Drain waits for it
@@ -181,6 +189,11 @@ public:
   /// entry argument types. Exposed for tests and cache introspection.
   static std::string cacheKey(const CompileInput &Input);
 
+  /// cacheKey with MappingSpec::structureFingerprint in place of the full
+  /// fingerprint: inputs with equal structure keys share their pipeline
+  /// prefix (the PrefixMemo key).
+  static std::string structureKey(const CompileInput &Input);
+
   SessionStats stats() const;
   /// Hits, misses, and resident-kernel count in one locked snapshot.
   CacheStats cacheStats() const;
@@ -195,13 +208,14 @@ private:
   /// The shared implementation: \p Key is cacheKey(Input); \p WasHit
   /// reports whether the cache served the request; \p Cancel is the
   /// request's effective cancellation surface (deadline + caller token +
-  /// session token). Contains worker exceptions: a throwing pass (or an
-  /// injected worker-throw fault) becomes a per-request Code::Internal
-  /// diagnostic and the pool keeps serving.
+  /// session token); \p Prefixes is the caller's prefix memo, if any.
+  /// Contains worker exceptions: a throwing pass (or an injected
+  /// worker-throw fault) becomes a per-request Code::Internal diagnostic
+  /// and the pool keeps serving.
   ErrorOr<std::shared_ptr<const CompiledKernel>>
   compileKeyed(std::string Key, const CompileInput &Input,
                const std::string &Name, bool &WasHit,
-               const Cancellation &Cancel);
+               const Cancellation &Cancel, PrefixMemo *Prefixes);
 
   /// Reserves up to \p Want admission slots; returns how many were granted
   /// (0 when shedding — overloaded or shutting down). Rechecks Accepting
@@ -236,6 +250,8 @@ private:
   void workerMain();
 
   SessionConfig Config;
+  /// Built once (PassPipeline::run is const and thread-safe).
+  PassPipeline Pipeline;
   mutable std::mutex Mutex;
   std::map<std::string, std::shared_ptr<const CompiledKernel>> Cache;
   SessionStats Stats;

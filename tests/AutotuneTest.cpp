@@ -9,13 +9,16 @@
 /// pruning (smem overflow, WGMMA band splits, register budget — rejected
 /// without ever invoking the pass pipeline), the Tuner's agreement with a
 /// brute-force exhaustive sweep, its search-effort accounting, and the
-/// content-keyed cost cache.
+/// content-keyed cost cache, and the per-search prefix memo: a compile
+/// replayed from a sibling mapping's pass prefix is identical to a fresh
+/// one.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "autotune/KernelSpaces.h"
 #include "autotune/Tuner.h"
 #include "runtime/Runtime.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -630,4 +633,161 @@ TEST(Tuner, AttentionSweepFindsThePaperTuning) {
   ASSERT_NE(Result.best(), nullptr);
   EXPECT_EQ(Result.best()->Point.at("BR"), 192);
   EXPECT_GT(Result.best()->TFlops, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Prefix replay: siblings that differ only in depth/limit knobs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Axes that move only the mapping's depth and limit knobs (pipeline
+/// depths, exec-unit pins, shared-memory cap), which the structure key
+/// leaves out.
+bool isKnobAxis(const std::string &Name) {
+  return Name == "PIPE" || Name == "SMEM" || Name.rfind("PIPE_", 0) == 0 ||
+         Name.rfind("TMA_", 0) == 0;
+}
+
+/// Samples \p Samples feasible points of \p Spec. Each is compiled twice:
+/// once after a sibling (the point with its knob axes redrawn) has put its
+/// prefix into a memo shared by the whole sample, and once fresh through
+/// PassPipeline::defaultPipeline().run. Everything downstream must agree:
+/// the IR, the shared-memory plan, the emitted CUDA and the timed cycles.
+/// Sharing one memo across points of different structure is what makes a
+/// too-coarse structure key fail here.
+void expectReplaysMatchFreshCompiles(const KernelSearchSpec &Spec,
+                                     uint64_t Seed, size_t Samples) {
+  TaskRegistry Registry;
+  Spec.Register(Registry);
+  const MachineModel &Machine = MachineModel::h100();
+  MappingSpace Space(Spec, Machine);
+  SplitMix64 Rng(Seed);
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  PrefixMemo Memo;
+
+  size_t Checked = 0, Compiled = 0;
+  for (size_t Attempt = 0; Checked < Samples && Attempt < 100 * Samples;
+       ++Attempt) {
+    MappingSpace::Candidate Cand =
+        Space.candidateAt(static_cast<size_t>(Rng.nextBelow(Space.size())));
+    if (!Cand.feasible())
+      continue;
+    std::vector<std::pair<std::string, int64_t>> Knobs = Cand.Point.values();
+    for (size_t I = 0; I < Knobs.size(); ++I)
+      if (isKnobAxis(Knobs[I].first)) {
+        const std::vector<int64_t> &Values = Space.axes()[I].Values;
+        Knobs[I].second = Values[Rng.nextBelow(Values.size())];
+      }
+    TuningPoint Sibling(std::move(Knobs));
+    SCOPED_TRACE(Cand.Point.str() + " replayed from " + Sibling.str());
+
+    MappingSpec SiblingMapping = Spec.BuildMapping(Sibling);
+    CompileInput SiblingInput{&Registry, &SiblingMapping, &Machine,
+                              Spec.BuildArgs(Sibling)};
+    MappingSpec Mapping = Spec.BuildMapping(Cand.Point);
+    CompileInput Input{&Registry, &Mapping, &Machine,
+                       Spec.BuildArgs(Cand.Point)};
+    ASSERT_EQ(CompilerSession::structureKey(SiblingInput),
+              CompilerSession::structureKey(Input));
+
+    (void)Pipeline.run(SiblingInput, nullptr, nullptr, nullptr, &Memo,
+                       CompilerSession::structureKey(SiblingInput));
+    size_t ReplaysBefore = Memo.replays();
+    SharedAllocation ReplayAlloc;
+    PipelineStats ReplayStats;
+    ErrorOr<IRModule> Replayed =
+        Pipeline.run(Input, &ReplayAlloc, &ReplayStats, nullptr, &Memo,
+                     CompilerSession::structureKey(Input));
+    SharedAllocation FreshAlloc;
+    PipelineStats FreshStats;
+    ErrorOr<IRModule> Fresh =
+        PassPipeline::defaultPipeline().run(Input, &FreshAlloc, &FreshStats);
+    ++Checked;
+
+    ASSERT_EQ(Memo.replays(), ReplaysBefore + 1);
+    ASSERT_FALSE(ReplayStats.Passes.empty());
+    EXPECT_TRUE(ReplayStats.Passes[0].Replayed);
+    ASSERT_EQ(ReplayStats.Passes.size(), FreshStats.Passes.size());
+    for (size_t I = 0; I < FreshStats.Passes.size(); ++I) {
+      EXPECT_EQ(ReplayStats.Passes[I].Name, FreshStats.Passes[I].Name);
+      EXPECT_EQ(ReplayStats.Passes[I].Replayed, I < 3);
+      EXPECT_EQ(ReplayStats.Passes[I].OpsAfter, FreshStats.Passes[I].OpsAfter);
+      EXPECT_EQ(ReplayStats.Passes[I].EventsAfter,
+                FreshStats.Passes[I].EventsAfter);
+      EXPECT_EQ(ReplayStats.Passes[I].Rewrites, FreshStats.Passes[I].Rewrites);
+    }
+    ASSERT_EQ(static_cast<bool>(Replayed), static_cast<bool>(Fresh));
+    if (!Fresh) {
+      EXPECT_EQ(Replayed.diagnostic().str(), Fresh.diagnostic().str());
+      continue;
+    }
+    ++Compiled;
+    EXPECT_EQ(printModule(*Replayed), printModule(*Fresh));
+    EXPECT_EQ(ReplayAlloc.TotalBytes, FreshAlloc.TotalBytes);
+    ASSERT_EQ(ReplayAlloc.Entries.size(), FreshAlloc.Entries.size());
+    for (size_t I = 0; I < FreshAlloc.Entries.size(); ++I) {
+      EXPECT_EQ(ReplayAlloc.Entries[I].Tensor, FreshAlloc.Entries[I].Tensor);
+      EXPECT_EQ(ReplayAlloc.Entries[I].Offset, FreshAlloc.Entries[I].Offset);
+      EXPECT_EQ(ReplayAlloc.Entries[I].Bytes, FreshAlloc.Entries[I].Bytes);
+    }
+    EXPECT_EQ(ReplayAlloc.AliasedPairs, FreshAlloc.AliasedPairs);
+
+    CompiledKernel ReplayKernel(std::move(*Replayed), std::move(ReplayAlloc),
+                                Spec.KernelName, std::move(ReplayStats));
+    CompiledKernel FreshKernel(std::move(*Fresh), std::move(FreshAlloc),
+                               Spec.KernelName, std::move(FreshStats));
+    EXPECT_EQ(ReplayKernel.emitCuda().Source, FreshKernel.emitCuda().Source);
+    ErrorOr<SimResult> ReplayTiming = ReplayKernel.runTiming();
+    ErrorOr<SimResult> FreshTiming = FreshKernel.runTiming();
+    ASSERT_TRUE(ReplayTiming && FreshTiming);
+    EXPECT_EQ(ReplayTiming->BlockCycles, FreshTiming->BlockCycles);
+  }
+  EXPECT_EQ(Checked, Samples);
+  // Most feasible points compile; the rest must fail identically.
+  EXPECT_GT(Compiled, Samples / 2);
+}
+
+} // namespace
+
+TEST(PrefixReplay, GemmReplaysMatchFreshCompiles) {
+  GemmConfig Base;
+  Base.M = Base.N = Base.K = 16384;
+  expectReplaysMatchFreshCompiles(gemmSearchSpec(Base, gemmGuidedAxes()),
+                                  /*Seed=*/20, /*Samples=*/100);
+}
+
+TEST(PrefixReplay, AttentionReplaysMatchFreshCompiles) {
+  expectReplaysMatchFreshCompiles(
+      attentionSearchSpec(fa2Config(16384), attentionGuidedAxes()),
+      /*Seed=*/21, /*Samples=*/100);
+}
+
+TEST(PrefixReplay, ConcurrentSearchReplaysAndMatchesSerialSearch) {
+  // Four workers insert into and replay from one search's memo at once;
+  // the landscape must still equal a one-worker search's row for row.
+  KernelSearchSpec Spec =
+      attentionSearchSpec(fa2Config(16384), attentionGuidedAxes());
+  TuneBudget Budget;
+  Budget.MaxEvals = 32;
+  std::vector<TuneResult> Results;
+  for (unsigned Workers : {4u, 1u}) {
+    SessionConfig Config;
+    Config.Workers = Workers;
+    CompilerSession Session(Config);
+    Tuner Tuner(Session);
+    Results.push_back(Tuner.tuneBudgeted(Spec, MachineModel::h100(), Budget));
+    const TuneStats &Stats = Results.back().Stats;
+    EXPECT_GT(Stats.PrefixReplays, 0u) << Workers << " workers";
+    EXPECT_LT(Stats.PrefixReplays, Stats.PipelinesRun);
+  }
+  const TuneResult &Parallel = Results[0], &Serial = Results[1];
+  ASSERT_EQ(Parallel.Landscape.size(), Serial.Landscape.size());
+  for (size_t I = 0; I < Serial.Landscape.size(); ++I) {
+    const CandidateResult &A = Parallel.Landscape[I], &B = Serial.Landscape[I];
+    EXPECT_EQ(A.Point.str(), B.Point.str());
+    EXPECT_EQ(A.Status, B.Status);
+    EXPECT_EQ(A.TFlops, B.TFlops);
+    EXPECT_EQ(A.SharedBytes, B.SharedBytes);
+  }
 }

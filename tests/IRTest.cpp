@@ -233,3 +233,53 @@ TEST(IR, CloneIsDeep) {
   Clone->Body.Ops[0]->CopySrc = TensorSlice::whole(F.A);
   EXPECT_EQ(Loop->Body.Ops[0]->CopySrc.Tensor, F.Tile);
 }
+
+TEST(IR, ModuleCloneIsDeepAndKeepsIdsAndCounters) {
+  Fixture F;
+  LoopVarId K = F.Module.freshLoopVar();
+  Operation &Loop = F.append(OpKind::For);
+  Loop.LoopVar = K;
+  Loop.LoopVarName = "k0";
+  Loop.LoopHi = ScalarExpr(4);
+  Loop.Result = F.Module.addEvent("e0", EventType{});
+  auto Copy = std::make_unique<Operation>();
+  Copy->Kind = OpKind::Copy;
+  Copy->Id = F.Module.freshOpId();
+  Copy->CopySrc = TensorSlice::piece(
+      F.A, F.Part, {ScalarExpr::loopVar(K, "k0")});
+  Copy->CopyDst = TensorSlice::whole(F.Tile);
+  Copy->Result = F.Module.addEvent("e1", EventType{});
+  Loop.Body.Ops.push_back(std::move(Copy));
+  Loop.Body.Yield = EventRef::unit(Loop.Body.Ops[0]->Result);
+  F.Module.entryArgs().push_back(F.A);
+  const std::string Before = printModule(F.Module);
+
+  IRModule Clone = F.Module.clone();
+  EXPECT_EQ(printModule(Clone), Before);
+  ASSERT_EQ(Clone.root().Ops.size(), 1u);
+  EXPECT_NE(Clone.root().Ops[0].get(), F.Module.root().Ops[0].get());
+  EXPECT_EQ(Clone.root().Ops[0]->Id, Loop.Id);
+  EXPECT_EQ(Clone.root().Ops[0]->Body.Ops[0]->Id, Loop.Body.Ops[0]->Id);
+  EXPECT_EQ(Clone.entryArgs(), F.Module.entryArgs());
+
+  // The counters continue where the original's stand, so a pass creating
+  // ops or loop variables on the clone numbers them as on the original.
+  EXPECT_EQ(Clone.freshOpId(), F.Module.freshOpId());
+  EXPECT_EQ(Clone.freshLoopVar(), F.Module.freshLoopVar());
+
+  // Mutating the clone's ops, tensors and events leaves the original.
+  Operation &ClonedCopy = *Clone.root().Ops[0]->Body.Ops[0];
+  ClonedCopy.CopyDst = TensorSlice::whole(F.A);
+  ClonedCopy.Preconds.push_back(EventRef::unit(Loop.Result));
+  Clone.root().Ops[0]->ForPipeline = 3;
+  Clone.root().Ops[0]->Body.Ops.clear();
+  Clone.tensor(F.Tile).PipelineDepth = 3;
+  Clone.tensor(F.Tile).Name = "renamed";
+  Clone.event(Loop.Result).Name = "renamed";
+  Clone.addTensor("extra", {Shape({8}), ElementType::F16}, Memory::Shared);
+  Clone.addEvent("extra", EventType{});
+  EXPECT_EQ(printModule(F.Module), Before);
+  EXPECT_NE(printModule(Clone), Before);
+  EXPECT_EQ(F.Module.tensors().size(), 2u);
+  EXPECT_EQ(F.Module.numEvents(), 2u);
+}

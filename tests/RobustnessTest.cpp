@@ -309,6 +309,102 @@ TEST(Robustness, InjectedPassFailureIsContainedAndNotCached) {
   EXPECT_EQ(Session.cacheStats().Entries, 1u);
 }
 
+TEST(Robustness, InjectedPrefixFaultsReachReplayedCompilesToo) {
+  // A search: copy elimination fails for every candidate, so no prefix
+  // ever completes, nothing is memoized, replayed or cached, and every row
+  // carries the injected diagnostic.
+  {
+    ScopedFaultSpec Spec("fail-pass=copy-elimination");
+    CompilerSession Session;
+    Tuner SearchTuner(Session);
+    TuneBudget Budget;
+    Budget.MaxEvals = 16;
+    TuneResult Result = SearchTuner.tuneBudgeted(
+        gemmSearchSpec(GemmConfig(), gemmGuidedAxes()), MachineModel::h100(),
+        Budget);
+    EXPECT_EQ(Result.Stats.Evals, 16u);
+    EXPECT_EQ(Result.Stats.PrefixReplays, 0u);
+    EXPECT_EQ(Result.Stats.Quarantined, Result.Stats.Evals);
+    for (const CandidateResult &Row : Result.Landscape) {
+      EXPECT_EQ(Row.Status, CandidateStatus::CompileError) << Row.Point.str();
+      EXPECT_NE(Row.Detail.find("injected failure in pass 'copy-elimination'"),
+                std::string::npos)
+          << Row.Detail;
+    }
+    EXPECT_EQ(Session.cacheStats().Entries, 0u);
+    EXPECT_EQ(SearchTuner.costCacheSize(), 0u);
+  }
+
+  // Replayed compiles: a memoized prefix skips the passes' work but not
+  // their fault sites or checkpoints.
+  SessionGemm Gemm(512);
+  CompileInput Input = Gemm.input();
+  const std::string Key = CompilerSession::structureKey(Input);
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  PrefixMemo Memo;
+  {
+    ScopedFaultSpec Disarm("");
+    ASSERT_TRUE(Pipeline.run(Input, nullptr, nullptr, nullptr, &Memo, Key));
+    ASSERT_EQ(Memo.size(), 1u);
+  }
+  for (const char *Pass :
+       {"dependence-analysis", "vectorization", "copy-elimination"}) {
+    ScopedFaultSpec Spec(std::string("fail-pass=") + Pass);
+    PipelineStats Stats;
+    ErrorOr<IRModule> Module =
+        Pipeline.run(Input, nullptr, &Stats, nullptr, &Memo, Key);
+    ASSERT_FALSE(Module) << Pass;
+    EXPECT_EQ(Module.diagnostic().passName(), Pass);
+    EXPECT_NE(Module.diagnostic().message().find("injected failure"),
+              std::string::npos);
+    EXPECT_TRUE(Module.diagnostic().isTransient());
+    for (const PassStat &Stat : Stats.Passes)
+      EXPECT_TRUE(Stat.Replayed) << Stat.Name;
+  }
+  EXPECT_EQ(Memo.replays(), 0u) << "no replay completed its prefix";
+
+  ScopedFaultSpec Disarm("");
+  CancelToken Token;
+  Token.cancel();
+  Cancellation Cancelled(Deadline(), &Token);
+  ErrorOr<IRModule> Stopped =
+      Pipeline.run(Input, nullptr, nullptr, &Cancelled, &Memo, Key);
+  ASSERT_FALSE(Stopped);
+  EXPECT_EQ(Stopped.diagnostic().code(), Diagnostic::Code::Cancelled);
+  EXPECT_NE(Stopped.diagnostic().message().find(
+                "compilation (before pass 'dependence-analysis')"),
+            std::string::npos)
+      << Stopped.diagnostic().message();
+
+  // A deadline that expires while a replayed pass is delayed stops the
+  // pipeline at the next replayed pass's checkpoint.
+  {
+    ScopedFaultSpec Slow("slow-pass=vectorization:200000");
+    Cancellation Expiring(Deadline::afterMillis(50));
+    PipelineStats Stats;
+    ErrorOr<IRModule> Late =
+        Pipeline.run(Input, nullptr, &Stats, &Expiring, &Memo, Key);
+    ASSERT_FALSE(Late);
+    EXPECT_EQ(Late.diagnostic().code(), Diagnostic::Code::DeadlineExceeded);
+    EXPECT_NE(Late.diagnostic().message().find(
+                  "compilation (before pass 'copy-elimination')"),
+              std::string::npos)
+        << Late.diagnostic().message();
+    ASSERT_EQ(Stats.Passes.size(), 2u);
+    EXPECT_TRUE(Stats.Passes[1].Replayed);
+  }
+
+  // Disarmed, the memoized prefix replays to the same kernel.
+  SharedAllocation Alloc;
+  ErrorOr<IRModule> Replayed =
+      Pipeline.run(Input, &Alloc, nullptr, nullptr, &Memo, Key);
+  ASSERT_TRUE(Replayed);
+  EXPECT_EQ(Memo.replays(), 1u);
+  ErrorOr<IRModule> Fresh = PassPipeline::defaultPipeline().run(Input);
+  ASSERT_TRUE(Fresh);
+  EXPECT_EQ(printModule(*Replayed), printModule(*Fresh));
+}
+
 TEST(Robustness, InjectedAllocFailureSurfacesInResourceAllocation) {
   ScopedFaultSpec Spec("alloc-fail");
   SessionGemm Gemm(512);
