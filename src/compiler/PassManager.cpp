@@ -223,6 +223,6 @@ PassPipeline PassPipeline::defaultPipeline() {
   Pipeline.addPass(createResourceAllocationPass());
   Pipeline.addPass(createRepairEventScopesPass());
   Pipeline.addPass(createWarpSpecializationPass());
-  Pipeline.setReplayablePrefix(3);
+  Pipeline.ReplayablePrefix = 3; // Through copy elimination.
   return Pipeline;
 }

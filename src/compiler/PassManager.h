@@ -28,7 +28,6 @@
 #include "support/Cancel.h"
 #include "support/Error.h"
 
-#include <atomic>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -121,19 +120,21 @@ public:
     std::lock_guard<std::mutex> Lock(Mutex);
     Entries.emplace(Key, std::move(Entry));
   }
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Entries.size();
-  }
 
   /// Pipeline runs that replayed their prefix from this memo.
-  size_t replays() const { return Replays.load(std::memory_order_relaxed); }
-  void noteReplay() { Replays.fetch_add(1, std::memory_order_relaxed); }
+  size_t replays() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Replays;
+  }
+  void noteReplay() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Replays;
+  }
 
 private:
   mutable std::mutex Mutex;
   std::unordered_map<std::string, std::shared_ptr<const PrefixEntry>> Entries;
-  std::atomic<size_t> Replays{0};
+  size_t Replays = 0;
 };
 
 /// One registered pipeline stage.
@@ -205,14 +206,6 @@ public:
   /// Where dumps go; defaults to stderr.
   void setPrintStream(std::ostream &OS) { PrintStream = &OS; }
 
-  /// Declares the first \p N passes replayable: they read no mapping knob
-  /// that MappingSpec::structureFingerprint leaves out, and the first of
-  /// them is dependence analysis, which records the stamp table. 0 (the
-  /// default) disables replay; defaultPipeline() sets 3 (dependence
-  /// analysis, vectorization, copy elimination).
-  void setReplayablePrefix(size_t N) { ReplayablePrefix = N; }
-  size_t replayablePrefix() const { return ReplayablePrefix; }
-
   /// Runs every pass in order. On success returns the final module and
   /// fills \p AllocOut / \p StatsOut when non-null; on failure returns the
   /// failing pass's diagnostic, tagged with that pass's name (see
@@ -228,8 +221,8 @@ public:
   /// own rejections are deterministic and safe to memoize — unlike
   /// checkpoint exits and injected faults, which keep transient codes.
   ///
-  /// With a \p Memo (and a replayable prefix), \p MemoKey names the
-  /// input's mapping structure. On a hit the prefix passes are replayed:
+  /// With a \p Memo, \p MemoKey names the input's mapping structure
+  /// (pipelines other than defaultPipeline() ignore the memo). On a hit the prefix passes are replayed:
   /// dependence analysis validates the mapping, clones the memoized
   /// module and applies this mapping's stamps; the other prefix passes do
   /// nothing. Each replayed pass keeps its between-pass checkpoint, its
@@ -259,6 +252,10 @@ private:
   bool VerifyEachPass = true;
   bool CountAllocs = false;
   bool PrintIRAfterAll = false;
+  /// Leading passes a PrefixMemo may replay: they read no mapping knob
+  /// that MappingSpec::structureFingerprint leaves out, and the first of
+  /// them is dependence analysis, which records the stamp table. Set by
+  /// defaultPipeline() to its first three passes.
   size_t ReplayablePrefix = 0;
   std::ostream *PrintStream = nullptr; ///< nullptr = stderr.
 };

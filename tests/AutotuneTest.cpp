@@ -761,6 +761,10 @@ TEST(PrefixReplay, AttentionReplaysMatchFreshCompiles) {
   expectReplaysMatchFreshCompiles(
       attentionSearchSpec(fa2Config(16384), attentionGuidedAxes()),
       /*Seed=*/21, /*Samples=*/100);
+  // The staged (FA3) variant adds a score tensor and its own loop nest.
+  expectReplaysMatchFreshCompiles(
+      attentionSearchSpec(fa3Config(16384), attentionGuidedAxes()),
+      /*Seed=*/22, /*Samples=*/30);
 }
 
 TEST(PrefixReplay, ConcurrentSearchReplaysAndMatchesSerialSearch) {

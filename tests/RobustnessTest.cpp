@@ -345,7 +345,6 @@ TEST(Robustness, InjectedPrefixFaultsReachReplayedCompilesToo) {
   {
     ScopedFaultSpec Disarm("");
     ASSERT_TRUE(Pipeline.run(Input, nullptr, nullptr, nullptr, &Memo, Key));
-    ASSERT_EQ(Memo.size(), 1u);
   }
   for (const char *Pass :
        {"dependence-analysis", "vectorization", "copy-elimination"}) {
