@@ -99,7 +99,10 @@ struct TuneStats {
   size_t PipelinesRun = 0;  ///< Full pass-pipeline executions.
   /// Of those, the runs that replayed their dependence-analysis ->
   /// copy-elimination prefix from an earlier candidate with the same
-  /// mapping structure (see PrefixMemo) instead of running it.
+  /// mapping structure (see PrefixMemo) instead of running it. With more
+  /// than one worker the count depends on scheduling (two workers that
+  /// start a new structure at once both run its prefix); the landscape
+  /// does not.
   size_t PrefixReplays = 0;
   size_t CompileErrors = 0;
   size_t Rounds = 0;        ///< Search rounds of a budgeted run.

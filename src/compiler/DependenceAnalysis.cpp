@@ -393,7 +393,7 @@ public:
                     const std::string &Task, std::vector<TensorHandle> Args,
                     std::vector<ScalarExpr> Scalars);
 
-  //===--- Mapping stamps --------------------------------------------------===//
+  //===--- Mapping stamps ------------------------------------------------===//
   //
   // The depth knobs are not written while traversing: each site records
   // which mapping entry its value comes from, and run() applies the table

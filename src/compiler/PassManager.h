@@ -222,14 +222,15 @@ public:
   /// checkpoint exits and injected faults, which keep transient codes.
   ///
   /// With a \p Memo, \p MemoKey names the input's mapping structure
-  /// (pipelines other than defaultPipeline() ignore the memo). On a hit the prefix passes are replayed:
-  /// dependence analysis validates the mapping, clones the memoized
-  /// module and applies this mapping's stamps; the other prefix passes do
-  /// nothing. Each replayed pass keeps its between-pass checkpoint, its
-  /// fault sites and its stat row (PassStat::Replayed); its verification
-  /// is skipped, since the module differs from the verified one only in
-  /// stamped fields the verifier does not read. On a miss the prefix runs
-  /// and, once it completes, is stored under \p MemoKey.
+  /// (pipelines other than defaultPipeline() ignore the memo). On a hit
+  /// the prefix passes are replayed: dependence analysis validates the
+  /// mapping, clones the memoized module and applies this mapping's
+  /// stamps; the other prefix passes do nothing. Each replayed pass keeps
+  /// its between-pass checkpoint, its fault sites and its stat row
+  /// (PassStat::Replayed); its verification is skipped, since the module
+  /// differs from the verified one only in stamped fields the verifier
+  /// does not read. On a miss the prefix runs and, once it completes, is
+  /// stored under \p MemoKey.
   ErrorOr<IRModule> run(const CompileInput &Input,
                         SharedAllocation *AllocOut = nullptr,
                         PipelineStats *StatsOut = nullptr,
