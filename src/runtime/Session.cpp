@@ -338,10 +338,8 @@ CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
           Faults.shouldFire(FaultSite::WorkerThrow,
                             Input.Mapping->fingerprint()))
         throw std::runtime_error("injected worker exception");
-      if (!Prefixes)
-        return Pipeline.run(Input, &Alloc, &PassStats, &Cancel);
       return Pipeline.run(Input, &Alloc, &PassStats, &Cancel, Prefixes,
-                          structureKey(Input));
+                          Prefixes ? structureKey(Input) : std::string());
     } catch (const std::exception &E) {
       return Diagnostic(Diagnostic::Code::Internal,
                         formatString("worker exception while compiling "
