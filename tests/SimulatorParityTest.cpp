@@ -90,6 +90,51 @@ TEST(SimulatorParity, AttentionShortSequenceGolden) {
                345.53303429831527, 6623342592.0, 64, 1);
 }
 
+namespace {
+
+/// Goldens at long main-loop trip counts, recorded by the simulator that
+/// times every iteration (commit ec5b2dd). Busy cycles are pinned at the
+/// same relative tolerance as the cycle counts.
+void expectLongGolden(const ErrorOr<SimResult> &Result, double BlockCycles,
+                      double TFlops, double TotalFlops, int64_t Blocks,
+                      int64_t Waves, double TmaBusy, double TcBusy) {
+  expectGolden(Result, BlockCycles, TFlops, TotalFlops, Blocks, Waves);
+  ASSERT_TRUE(Result);
+  EXPECT_NEAR(Result->TmaBusyCycles, TmaBusy, 1e-9 * TmaBusy);
+  EXPECT_NEAR(Result->TensorCoreBusyCycles, TcBusy, 1e-9 * TcBusy);
+}
+
+} // namespace
+
+TEST(SimulatorParity, GemmLongKGolden) {
+  // 2048 main-loop iterations per block.
+  GemmConfig Config;
+  Config.M = Config.N = 4096;
+  Config.K = 32768;
+  Config.W = 16;
+  Compiled G = compileGemm(Config);
+  ASSERT_NE(G.Kernel, nullptr) << G.Error;
+  expectLongGolden(G.Kernel->runTiming(), 839526.42218500457,
+                   574.38341685233672, 1099545182208.0, 512, 4,
+                   485218.46153845801, 503041.3792457463);
+}
+
+TEST(SimulatorParity, AttentionFa2LongSequenceGolden) {
+  Compiled C = compileAttention(fa2Config(16384));
+  ASSERT_NE(C.Kernel, nullptr) << C.Error;
+  expectLongGolden(C.Kernel->runTiming(), 454481.64981890196,
+                   817.55676469973366, 1694440292352.0, 1024, 8,
+                   163209.84615384578, 377281.03443428909);
+}
+
+TEST(SimulatorParity, AttentionFa3LongSequenceGolden) {
+  Compiled C = compileAttention(fa3Config(16384));
+  ASSERT_NE(C.Kernel, nullptr) << C.Error;
+  expectLongGolden(C.Kernel->runTiming(), 463953.64981890173,
+                   802.39490857027511, 1697661517824.0, 1024, 8,
+                   163209.84615384578, 377281.03443428909);
+}
+
 //===----------------------------------------------------------------------===//
 // Pooled scratch reuse and functional mode
 //===----------------------------------------------------------------------===//
