@@ -150,21 +150,28 @@ private:
   }
 
   /// Round-robin over agents: each runs until its next instruction blocks
-  /// on an unmet event. A full round with no progress is a deadlock — the
-  /// compiled schedule could not execute on hardware either. The cancel
-  /// checkpoint sits after the deadlock check: a genuinely stuck schedule
-  /// always reports the deadlock diagnostic, never a deadline.
+  /// on an unmet event, expanding the schedule whenever its queue runs dry
+  /// (the lowering drains every step; it never skips one). A full round
+  /// with no progress is a deadlock — the compiled schedule could not
+  /// execute on hardware either. The cancel checkpoint sits after the
+  /// deadlock check: a genuinely stuck schedule always reports the
+  /// deadlock diagnostic, never a deadline.
   void drain() {
     size_t NumAgents = Model.numAgents();
-    Cursor.assign(NumAgents, 0);
     while (true) {
       bool Progress = false;
       bool Pending = false;
       for (size_t Agent = 0; Agent < NumAgents && !Failure; ++Agent) {
-        const std::vector<uint32_t> &Stream = Model.stream(Agent);
-        while (Cursor[Agent] < Stream.size()) {
-          const AgentSchedule::InstRec &Inst =
-              Model.inst(Stream[Cursor[Agent]]);
+        while (true) {
+          while (Model.needsExpansion(Agent) && Model.expandNext()) {
+          }
+          if (Model.failure()) {
+            fail(*Model.failure());
+            return;
+          }
+          if (!Model.hasHead(Agent))
+            break;
+          const AgentSchedule::InstRec &Inst = Model.inst(Model.head(Agent));
           double WaitTime = 0.0;
           uint32_t Blocker = AgentSchedule::NoSlot;
           if (!Model.ready(Inst, /*BarrierCost=*/0.0, WaitTime, Blocker)) {
@@ -172,10 +179,10 @@ private:
             break;
           }
           executeInstance(Inst);
-          ++Cursor[Agent];
+          Model.pop(Agent);
           Progress = true;
         }
-        Pending = Pending || Cursor[Agent] < Stream.size();
+        Pending = Pending || Model.hasHead(Agent);
       }
       if (Failure || !Pending)
         return;
@@ -187,10 +194,9 @@ private:
         continue;
       }
       for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
-        if (Cursor[Agent] >= Model.stream(Agent).size())
+        if (!Model.hasHead(Agent))
           continue;
-        const Operation &Op =
-            *Model.inst(Model.stream(Agent)[Cursor[Agent]]).Op;
+        const Operation &Op = *Model.inst(Model.head(Agent)).Op;
         fail(formatString(
             "lowered-execution deadlock: agent %zu blocked at %s "
             "(event producer missing or never scheduled)",
@@ -361,7 +367,6 @@ private:
 
   // Per-grid agent machine state.
   AgentSchedule Model;
-  std::vector<size_t> Cursor;
   ScalarEnv ExecEnv; ///< Environment of the executing instance.
 };
 

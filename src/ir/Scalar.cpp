@@ -19,9 +19,11 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -359,6 +361,45 @@ bool ScalarExpr::usesLoopVar(LoopVarId Id) const {
   default:
     return wrap(N->Lhs).usesLoopVar(Id) ||
            wrap(N->Rhs).usesLoopVar(Id);
+  }
+}
+
+bool ScalarExpr::periodicIn(LoopVarId Id, int64_t &Period,
+                            int64_t &From) const {
+  const ScalarNode *N = Node;
+  if (!usesLoopVar(Id))
+    return true;
+  switch (N->TheKind) {
+  case Kind::Mod: {
+    // (Id + c) mod D, in any of the shapes the builders fold it into.
+    const ScalarNode *Lhs = N->Lhs, *Rhs = N->Rhs;
+    int64_t Offset = 0;
+    bool Shifted = Lhs->TheKind == Kind::LoopVar && Lhs->VarId == Id;
+    if (!Shifted && (Lhs->TheKind == Kind::Add || Lhs->TheKind == Kind::Sub)) {
+      const ScalarNode *Var = Lhs->Lhs, *C = Lhs->Rhs;
+      if (Lhs->TheKind == Kind::Add && Var->TheKind == Kind::Constant)
+        std::swap(Var, C);
+      if (Var->TheKind == Kind::LoopVar && Var->VarId == Id &&
+          C->TheKind == Kind::Constant) {
+        Offset = Lhs->TheKind == Kind::Add ? C->Value : -C->Value;
+        Shifted = true;
+      }
+    }
+    if (Shifted && Rhs->TheKind == Kind::Constant && Rhs->Value > 0) {
+      Period = std::lcm(Period, Rhs->Value);
+      From = std::max(From, -Offset);
+      return true;
+    }
+    [[fallthrough]];
+  }
+  case Kind::Add:
+  case Kind::Sub:
+  case Kind::Mul:
+  case Kind::FloorDiv:
+    return wrap(N->Lhs).periodicIn(Id, Period, From) &&
+           wrap(N->Rhs).periodicIn(Id, Period, From);
+  default:
+    return false; // The variable itself, outside a remainder.
   }
 }
 

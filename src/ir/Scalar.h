@@ -114,6 +114,15 @@ public:
   /// True if the expression mentions any processor index.
   bool usesProcIndex() const;
 
+  /// True when the value, as a function of loop variable \p Id with every
+  /// other variable fixed, repeats with period \p Period for all values of
+  /// \p Id at or above \p From. Recognized: every mention of \p Id sits in
+  /// a remainder `(Id + c) mod D` with constants c and D > 0, which repeats
+  /// with period D once Id + c >= 0. On success \p Period is widened to the
+  /// least common multiple and \p From raised as needed; both are left
+  /// as they are when \p Id is not mentioned.
+  bool periodicIn(LoopVarId Id, int64_t &Period, int64_t &From) const;
+
   std::string toString() const;
 
   /// Structural equality. Identically-constructed expressions on one thread

@@ -65,9 +65,7 @@ public:
   /// cooperative checkpoints.
   ErrorOr<SimResult> runTiming(const SimConfig &Config = SimConfig(),
                                const Cancellation *Cancel = nullptr) const {
-    SimHints Hints = simHints();
-    return simulate(Module, Alloc, Config, Leaves, {},
-                    Hints.NumOps ? &Hints : nullptr, Cancel);
+    return simulate(Module, Alloc, Config, Leaves, {}, Cancel);
   }
 
   /// Timing plus functional execution into \p EntryBuffers (one per entry
@@ -76,9 +74,7 @@ public:
   runFunctional(const std::vector<TensorData *> &EntryBuffers,
                 const SimConfig &Config = SimConfig(),
                 const Cancellation *Cancel = nullptr) const {
-    SimHints Hints = simHints();
-    return simulate(Module, Alloc, Config, Leaves, EntryBuffers,
-                    Hints.NumOps ? &Hints : nullptr, Cancel);
+    return simulate(Module, Alloc, Config, Leaves, EntryBuffers, Cancel);
   }
 
   /// One CUDA emission: the generated text plus the printer's counters
@@ -101,17 +97,6 @@ public:
   std::string irDump() const { return printModule(Module); }
 
 private:
-  /// Simulator table pre-sizing from the final pass's IR statistics (zero
-  /// when this kernel was hand-assembled without pipeline stats).
-  SimHints simHints() const {
-    SimHints Hints;
-    if (!Stats.Passes.empty()) {
-      Hints.NumOps = Stats.Passes.back().OpsAfter;
-      Hints.NumEvents = Stats.Passes.back().EventsAfter;
-    }
-    return Hints;
-  }
-
   IRModule Module;
   SharedAllocation Alloc;
   std::string Name;

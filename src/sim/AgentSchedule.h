@@ -34,19 +34,34 @@
 ///    instance of that loop instance has; `for` preconditions gate only
 ///    through their body instances' own edges.
 ///
-/// build() resolves the schedule once. A bounds-only walk of the loops
-/// sizes a dense completion table; it iterates a loop's coordinates only
-/// when the loop body holds a nested loop, whose bounds may depend on them.
-/// One sequential expansion then unrolls the body, in program order,
-/// straight into per-agent instance streams, and resolves every key an
-/// instance reads or writes to an absolute completion-table slot.
-/// Executors then alternate ready() and complete(), which are array loads
-/// and stores, attaching their own meaning to the completion value: the
+/// build() resolves everything static once: a dense op table, each op's
+/// precondition plan, and the layout of a completion table. It expands no
+/// instance. Expansion is lazy: each expandNext() appends one step to the
+/// per-agent instance queues, in program order, and resolves every key an
+/// appended instance reads or writes to a completion-table slot. A step is
+/// one iteration of a top-level sequential loop of the block, or the run
+/// of top-level copies and calls before the next such loop. Executors
+/// expand only when an agent that may still receive an instance has an
+/// empty queue, so no ready agent ever waits on the expansion; the CPU
+/// lowering drains the queues to the end, and the timing simulator may
+/// skip whole periods of a loop's steady state (Simulator.cpp).
+///
+/// Completions of events produced inside a top-level loop live in a ring
+/// of frames, one frame of slots per live iteration. Iteration k's frame
+/// is recycled once every instance of iterations k .. k + L has issued,
+/// with L the loop's largest pipeline lag: only those instances read it.
+/// The ring grows to the widest skew between agents, so build time and
+/// memory stop scaling with the trip count. A loop whose events are also
+/// read from outside it keeps one fixed slot per iteration instead.
+/// Issued instances are dropped from the queue arenas in batches.
+///
+/// Executors alternate ready() and complete(), which are array loads and
+/// stores, attaching their own meaning to the completion value: the
 /// simulator stores cycles, the lowering only presence. Slots are written
-/// once, so an instance that is ready stays ready, and an instance blocked
-/// on a slot stays blocked until that slot completes. All arenas keep
-/// their capacity across builds up to a ceiling, so a pooled model reaches
-/// an allocation-free steady state.
+/// once per frame lifetime, so an instance that is ready stays ready, and
+/// an instance blocked on a slot stays blocked until that slot completes.
+/// All arenas keep their capacity across builds up to a ceiling, so a
+/// pooled model reaches an allocation-free steady state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +81,6 @@
 #include <vector>
 
 namespace cypress {
-
-struct SimHints;
 
 /// Warpgroup replication count of an op (1 when it has no warpgroup dim).
 int64_t warpgroupExtent(const Operation &Op);
@@ -99,6 +112,8 @@ class AgentSchedule {
 public:
   /// Completion-table slot that no instance ever writes.
   static constexpr uint32_t NoSlot = ~0u;
+  /// Ring frame of an instance outside every ring loop.
+  static constexpr uint32_t NoFrame = ~0u;
 
   /// An index expression evaluated once per instance, with its two common
   /// forms resolved up front: a constant, and the instance's own warpgroup
@@ -123,6 +138,10 @@ public:
       if (IsWarpgroup)
         return std::max<int64_t>(Wg, 0);
       return Expr ? Expr->evaluate(Env) : Constant;
+    }
+    /// See ScalarExpr::periodicIn.
+    bool periodicIn(LoopVarId Var, int64_t &Period, int64_t &From) const {
+      return !Expr || Expr->periodicIn(Var, Period, From);
     }
   };
 
@@ -169,6 +188,7 @@ public:
     uint32_t LoopOff = 0;
     uint32_t WaitOff = 0, WaitCount = 0;
     uint32_t ResultSlot = NoSlot; ///< Slot of its result event, if any.
+    uint32_t Frame = NoFrame;     ///< Ring frame of its iteration.
   };
 
   /// Observer of the expansion, for executors that attach a static
@@ -176,32 +196,61 @@ public:
   /// ranges).
   class ExpansionHook {
   public:
-    /// Called once before the first instance, when the op table (numOps(),
-    /// op()) and its Visited flags are final.
+    /// Called once by build(), when the op table (numOps(), op()) and its
+    /// Visited flags are final.
     virtual void onOps() = 0;
-    /// Called for each instance, in instance-table order, once it is
+    /// Called for each instance, in instance-id order, once it is
     /// appended. \p Env binds the instance's loop variables and warpgroup
     /// index.
     virtual void onInstance(const ScalarEnv &Env, const InstRec &Inst) = 0;
+    /// Called after the model dropped its first \p Count instances, all
+    /// issued: every surviving instance id shrank by \p Count.
+    virtual void onCompact(uint32_t Count) = 0;
 
   protected:
     ~ExpansionHook() = default; ///< Never owned through the hook.
   };
 
-  /// Expands one block of \p Grid (a block-level PFor) under \p BlockEnv,
-  /// which must bind every processor level. \p Client names the executor
-  /// in diagnostics. Fails on a nested parallel loop, an iteration space
-  /// too large for the dense tables, or a fired \p Cancel.
+  /// Prepares the schedule of one block of \p Grid (a block-level PFor)
+  /// under \p BlockEnv, which must bind every processor level, and expands
+  /// nothing. \p Client names the executor in diagnostics. Fails on a
+  /// nested parallel loop, an iteration space too large for the completion
+  /// table, or a fired \p Cancel; expandNext() polls \p Cancel too.
   ErrorOrVoid build(const IRModule &Module, const Operation &Grid,
                     const ScalarEnv &BlockEnv, const char *Client,
-                    const Cancellation *Cancel, ExpansionHook *Hook = nullptr,
-                    const SimHints *Hints = nullptr);
+                    const Cancellation *Cancel,
+                    ExpansionHook *Hook = nullptr);
+
+  //===--- Lazy expansion ---------------------------------------------------===//
+
+  /// True when \p Agent's queue is empty while a step not yet expanded may
+  /// still append to it.
+  bool needsExpansion(size_t Agent) const {
+    return !hasHead(Agent) && !fullyExpanded() && !Failure &&
+           MayReceive[TopPos * NumAgents + Agent];
+  }
+  /// Expands the next step. Returns false, expanding nothing, once the
+  /// block is fully expanded or the expansion failed (see failure()).
+  bool expandNext();
+  bool fullyExpanded() const { return !InLoop && TopPos == TopOps; }
+  const std::optional<Diagnostic> &failure() const { return Failure; }
+  /// Top-level loop iterations expanded so far.
+  int64_t expandedIterations() const { return ExpandedIterations; }
+
+  //===--- Agent queues -----------------------------------------------------===//
 
   size_t numAgents() const { return NumAgents; }
-  const std::vector<uint32_t> &stream(size_t Agent) const {
-    return Streams[Agent];
+  /// True when \p Agent has an expanded instance it has not issued.
+  bool hasHead(size_t Agent) const {
+    return Queues[Agent].Head < Queues[Agent].Ids.size();
   }
-  const InstRec &inst(uint32_t Idx) const { return Insts[Idx]; }
+  /// Id of \p Agent's next instance; requires hasHead(Agent).
+  uint32_t head(size_t Agent) const {
+    return Queues[Agent].Ids[Queues[Agent].Head];
+  }
+  /// Marks \p Agent's head as issued.
+  void pop(size_t Agent) { ++Queues[Agent].Head; }
+  const InstRec &inst(uint32_t Id) const { return Insts[Id]; }
   const int64_t *coords(const InstRec &Inst) const {
     return Coords.data() + Inst.CoordOff;
   }
@@ -230,6 +279,47 @@ public:
   /// finishes.
   void complete(const InstRec &Inst, double Completion);
 
+  //===--- Steady state -----------------------------------------------------===//
+  //
+  // The timing simulator compares the state at successive iteration
+  // boundaries of a ring loop and, once it repeats, skips whole periods
+  // (Simulator.cpp, docs/ARCHITECTURE.md). A boundary is the moment before
+  // expandNext() expands one iteration of a ring loop.
+
+  /// True at a boundary: the next step is iteration \p Iter of the ring
+  /// loop with dense op index \p LoopOp, whose iterations end at \p Hi.
+  bool atRingIteration(uint32_t &LoopOp, int64_t &Iter, int64_t &Hi) const;
+
+  /// For the ring loop of the current boundary: true when its iterations
+  /// are alike for this model from iteration \p From on, up to a phase
+  /// that repeats every \p Period iterations. Requires a body without
+  /// nested loops whose waits read only depth-zero events or the loop's
+  /// own, with warpgroup indices periodic in the loop variable.
+  bool ringPeriodic(int64_t &Period, int64_t &From) const;
+
+  /// True when every expanded but unissued instance belongs to an
+  /// iteration >= \p From of the current ring loop.
+  bool queuedFrom(int64_t From) const;
+
+  /// Instances one iteration of the current ring loop appends to
+  /// \p Agent's queue (as counted on the latest expanded iteration).
+  uint32_t iterationInstances(size_t Agent) const {
+    return IterInstances[Agent];
+  }
+
+  /// Appends the model's state at a boundary: the queue lengths and the
+  /// live-frame count, then every completion value of the fixed slots and
+  /// of the live frames, oldest iteration first, and the open loop's
+  /// latest body completion. A value v is appended as
+  /// max(v - Origin, Floor) and an incomplete slot as NaN.
+  void appendSignature(std::vector<double> &Out, double Origin,
+                       double Floor) const;
+
+  /// At a boundary: adds \p Delta to every completion value and relabels
+  /// the live iterations \p Iterations later, so the next step expands
+  /// iteration Iter + Iterations (or, at the loop's end, what follows it).
+  void advance(double Delta, int64_t Iterations);
+
 private:
   /// One precondition of one op, with what is fixed per op resolved: the
   /// key length and the event type's warpgroup index and broadcast flag.
@@ -245,36 +335,70 @@ private:
   };
 
   /// Per-event completion slab: values for the event's (warpgroup,
-  /// iteration-prefix) keys live in Times at
-  /// [TimesOff, TimesOff + WgSlots * CoordCount); NaN marks "not yet
-  /// completed". Slot 0 holds the unreplicated (-1) key, slots 1..W the
-  /// per-warpgroup keys of replicated events. The coordinate box is the
-  /// producer's own enclosing-loop ranges, so a slab holds exactly the
-  /// keys the producer can register.
+  /// iteration-prefix) keys. A fixed event's slab sits at Off in Times,
+  /// WgSlots * CoordCount slots; a ring event's sits at Off in each frame
+  /// of its loop, WgSlots * CoordCount slots over the coordinates below
+  /// the loop's. NaN marks "not yet completed". Slot 0 holds the
+  /// unreplicated (-1) key, slots 1..W the per-warpgroup keys of
+  /// replicated events. The coordinate box is the producer's own
+  /// enclosing-loop ranges, so a slab holds exactly the keys the producer
+  /// can register.
   struct EventRec {
-    uint64_t TimesOff = 0;
+    uint64_t Off = 0;
     uint64_t CoordCount = 1;
     uint32_t WgSlots = 1;
     uint32_t Depth = 0;    ///< Number of enclosing loops of the producer.
     uint32_t ChainOff = 0; ///< Producer's enclosing loop ops (dense ids).
     bool WgReplicated = false;
     bool Known = false; ///< Produced inside the grid body.
+    bool Ring = false;  ///< Lives in the frames of its top-level loop.
   };
 
   /// Outstanding body-instance count of one loop instance (one For op
-  /// entered at one enclosing iteration prefix).
+  /// entered at one enclosing iteration prefix). A top-level loop holds one
+  /// extra count until its last iteration is expanded.
   struct LoopInst {
     int64_t Remaining = 0;
     double MaxTime = 0;
     uint32_t Slot = NoSlot; ///< The loop's event slot, if it has one.
+    bool Credited = false;  ///< At least one body instance was appended.
   };
 
-  void reset(size_t NumEvents, const SimHints *Hints);
+  /// Per top-level op, what the ring and the extrapolation need.
+  struct TopLoop {
+    int64_t MaxLag = 0;       ///< Largest lag on its own iteration index.
+    uint64_t FrameSlots = 0;  ///< Slots per iteration frame.
+    bool Ring = false;        ///< Events in frames (not read outside it).
+    bool Periodic = false;    ///< See ringPeriodic().
+    int64_t Period = 1, From = 0;
+  };
+
+  /// One iteration frame of the current ring loop.
+  struct Frame {
+    uint32_t TimesOff = 0;
+    uint32_t Pending = 0; ///< Appended instances not yet completed.
+    int64_t Iter = 0;
+  };
+
+  struct Queue {
+    std::vector<uint32_t> Ids; ///< Instance ids in issue order.
+    size_t Head = 0;           ///< First unissued entry.
+  };
+
+  void reset(size_t NumEvents);
   void indexOps(const IRBlock &Block);
   uint32_t assignDense(const Operation &Op);
   void sizeBlock(const IRBlock &Block);
-  void buildEventTables();
+  void resolveEventDepths();
   void buildPlans();
+  void planTopLoops();
+  void layOutEvents();
+  void planAgents();
+  void enterLoop(const Operation &Op);
+  void expandIteration();
+  void closeLoop();
+  void retireFrames();
+  void compact();
   void expandBlock(const IRBlock &Block);
   void expandOp(const Operation &Op);
   void pushInstance(const OpRec &Rec, uint32_t OpIdx, int64_t Wg,
@@ -295,11 +419,32 @@ private:
   const Operation *Grid = nullptr;
   const char *Client = "";
   ExpansionHook *Hook = nullptr;
-  CancelCheck Check; ///< Polled once per loop iteration of both walks.
+  CancelCheck Check; ///< Polled once per step and per nested iteration.
 
   size_t NumAgents = 0;
   int64_t Wgs = 1; ///< Widest warpgroup dim (static pre-walk).
   std::optional<Diagnostic> Failure;
+
+  // Step cursor over the grid body's top-level ops.
+  size_t TopOps = 0, TopPos = 0;
+  bool InLoop = false;       ///< Inside the top-level loop at TopPos.
+  int64_t LoopNext = 0, LoopHi = 0;
+  uint32_t LoopDense = 0;    ///< Dense op index of that loop.
+  int64_t ExpandedIterations = 0;
+  /// MayReceive[P * NumAgents + A]: a top-level op at or after P appends
+  /// to agent A's queue.
+  std::vector<uint8_t> MayReceive;
+  std::vector<TopLoop> TopLoops; ///< Indexed by dense op index.
+
+  // The current ring loop's frames: live ones in iteration order from
+  // OldestIter, and recycled ones.
+  std::vector<Frame> Frames;
+  std::vector<uint32_t> Window, FreeFrames;
+  uint32_t LoopFrameBase = 0; ///< First frame id of the current ring loop.
+  int64_t OldestIter = 0;
+  uint32_t CurFrame = NoFrame; ///< Frame of the iteration being expanded.
+  std::vector<uint32_t> IterInstances; ///< Per agent, latest iteration.
+  uint64_t FixedSlots = 0; ///< Times[0, FixedSlots): fixed slabs.
 
   // Expansion state: the enclosing loops' iterations and instance ids.
   std::vector<int64_t> CoordStack;
@@ -316,11 +461,11 @@ private:
   std::map<Processor, int64_t>::iterator WgIt; ///< Env's warpgroup index.
 
   std::vector<InstRec> Insts;
-  std::vector<std::vector<uint32_t>> Streams; ///< Instance indices per agent.
-  std::vector<int64_t> Coords;                ///< Iteration-coordinate arena.
-  std::vector<uint32_t> LoopPaths;            ///< Loop-instance-path arena.
-  std::vector<Wait> Waits;                    ///< Per-instance waits.
-  std::vector<PrecondPlan> Plans;             ///< Per-op precondition plans.
+  std::vector<Queue> Queues;       ///< Per agent.
+  std::vector<int64_t> Coords;     ///< Iteration-coordinate arena.
+  std::vector<uint32_t> LoopPaths; ///< Loop-instance-path arena.
+  std::vector<Wait> Waits;         ///< Per-instance waits.
+  std::vector<PrecondPlan> Plans;  ///< Per-op precondition plans.
   std::vector<OpRec> Ops;
   std::vector<uint32_t> OpDense; ///< OpId -> dense op index (~0u absent).
   std::vector<EventRec> Events;  ///< Indexed by EventId.
@@ -373,6 +518,8 @@ AgentSchedule::complete(const InstRec &Inst, double Completion) {
     assert(std::isnan(Times[Inst.ResultSlot]) && "slot completed twice");
     Times[Inst.ResultSlot] = Completion;
   }
+  if (Inst.Frame != NoFrame)
+    --Frames[Inst.Frame].Pending;
 
   // Credit every enclosing loop instance; the last body instance of a loop
   // instance completes the loop's event, Figure 8's `for` events.

@@ -96,6 +96,16 @@ struct AgentHead {
   State Is = State::Unknown;
 };
 
+/// The timer at one iteration boundary of a ring loop: the accumulators,
+/// and the state as Signatures[SigOff, SigOff + SigLen) (see
+/// BlockTimer::atBoundary).
+struct Boundary {
+  int64_t Iter = 0;
+  double Origin = 0; ///< Start of the latest issued instance.
+  double Flops = 0, TmaBusy = 0, TcBusy = 0;
+  uint32_t SigOff = 0, SigLen = 0;
+};
+
 /// All per-run state of the timing simulator, pooled across runs: every
 /// table is cleared but keeps its capacity (up to PooledArenaBytes), so
 /// steady-state simulation performs no allocation. One scratch exists per
@@ -109,14 +119,19 @@ struct TimerScratch {
   std::vector<SmemOperand> Operands;
   std::vector<uint32_t> OperandBegin;
   std::vector<SmemPre> SmemPres;
-  /// Instance I's ranges are SmemPres[SmemBegin[I], SmemBegin[I + 1]).
+  /// Instance I's ranges start at SmemPres[SmemBegin[I]] and end where the
+  /// next instance's start (or the arena ends).
   std::vector<uint32_t> SmemBegin;
-  std::vector<SmemAccess> Accesses; ///< In issue (= start) order.
-  // Scheduler / race-detector scratch.
-  std::vector<size_t> Cursor;
+  std::vector<SmemAccess> Accesses; ///< Full trace, when timing every step.
+  /// Accesses in flight, for the race sweep.
+  std::vector<SmemAccess> ActiveReads, ActiveWrites;
+  // Scheduler scratch.
+  std::vector<uint64_t> Issued;
   std::vector<double> Ready;
   std::vector<AgentHead> Heads;
-  std::vector<uint32_t> ActiveReads, ActiveWrites;
+  // Steady-state detection.
+  std::vector<Boundary> Boundaries;
+  std::vector<double> Signatures;
 };
 
 TimerScratch &timerScratch() {
@@ -126,19 +141,32 @@ TimerScratch &timerScratch() {
 
 /// Times one block on the shared agent schedule: attaches per-op costs and
 /// per-instance shared-memory ranges to it, picks instances in time order
-/// against TMA and Tensor Core occupancy, and sweeps the resulting access
-/// trace for write-after-read hazards.
+/// against TMA and Tensor Core occupancy, and sweeps the accesses for
+/// write-after-read hazards as they issue.
+///
+/// When \p Extrapolate is set, the timer compares its state at successive
+/// boundaries of a ring loop's iterations. Once the state at iteration
+/// i + p equals the state at i shifted by a time Delta, and the matched
+/// run covers one period plus the longest access, it skips the remaining
+/// whole periods: every time shifts by their count times Delta, and busy
+/// cycles and flops grow by their per-period increments. It then times the
+/// tail and the epilogue. docs/ARCHITECTURE.md argues why the skipped
+/// periods hold no race the simulated ones do not show. A race seen by an
+/// extrapolating run stops it: the caller reruns without extrapolation,
+/// which keeps the full access trace and lists the hazards.
 class BlockTimer final : public AgentSchedule::ExpansionHook {
 public:
   BlockTimer(const IRModule &Module, const SharedAllocation &Alloc,
              const SimConfig &Config, const Operation &Grid,
-             TimerScratch &S, const SimHints *Hints,
-             const Cancellation *Cancel)
+             TimerScratch &S, const Cancellation *Cancel, bool Extrapolate)
       : Module(Module), Alloc(Alloc), Config(Config), Grid(Grid), S(S),
-        M(S.Model), Hints(Hints), Cancel(Cancel) {
+        M(S.Model), Cancel(Cancel), Extrapolate(Extrapolate) {
     if (Cancel)
       SchedCheck = CancelCheck(*Cancel);
   }
+
+  /// True when this extrapolating run stopped at a race.
+  bool needsFullTrace() const { return Extrapolate && RaceSeen; }
 
   ErrorOr<SimResult> run() {
     ScalarEnv BlockEnv;
@@ -148,24 +176,28 @@ public:
     BlockEnv.ProcIndices[Processor::Thread] = 0;
     clearPooled(S.SmemPres);
     clearPooled(S.SmemBegin);
-    if (Hints)
-      S.SmemPres.reserve(Hints->NumOps);
-    if (ErrorOrVoid Built = M.build(Module, Grid, BlockEnv, "simulation",
-                                    Cancel, this, Hints);
+    clearPooled(S.Accesses);
+    clearPooled(S.ActiveReads);
+    clearPooled(S.ActiveWrites);
+    clearPooled(S.Boundaries);
+    clearPooled(S.Signatures);
+    if (ErrorOrVoid Built =
+            M.build(Module, Grid, BlockEnv, "simulation", Cancel, this);
         !Built)
       return Built.diagnostic();
-    S.SmemBegin.push_back(static_cast<uint32_t>(S.SmemPres.size()));
-    clearPooled(S.Accesses);
     schedule();
     if (Failure)
       return *Failure;
-    detectRaces();
+    if (RaceSeen && !Extrapolate)
+      describeRaces();
 
     SimResult Result;
     Result.BlockCycles = Finish;
     Result.TotalFlops = BlockFlops;
     Result.TmaBusyCycles = TmaBusy;
     Result.TensorCoreBusyCycles = TcBusy;
+    Result.SimulatedIterations = M.expandedIterations();
+    Result.ExtrapolatedIterations = Skipped;
     Result.Races = std::move(Races);
     return Result;
   }
@@ -221,6 +253,18 @@ public:
       S.SmemPres.push_back({O.Tensor, Inst.Op->Id, Lo, Lo + O.BufBytes,
                             IterHash, Inst.Wg, O.Write});
     }
+  }
+
+  /// Drops the ranges of the instances the model dropped.
+  void onCompact(uint32_t Count) override {
+    uint32_t Cut = Count < S.SmemBegin.size()
+                       ? S.SmemBegin[Count]
+                       : static_cast<uint32_t>(S.SmemPres.size());
+    S.SmemPres.erase(S.SmemPres.begin(), S.SmemPres.begin() + Cut);
+    S.SmemBegin.erase(S.SmemBegin.begin(), S.SmemBegin.begin() + Count);
+    for (uint32_t &Begin : S.SmemBegin)
+      Begin -= Cut;
+    HashCoordOff = ~0u; // The coordinate offsets moved.
   }
 
 private:
@@ -281,7 +325,7 @@ private:
 
   void schedule() {
     size_t NumAgents = M.numAgents();
-    S.Cursor.assign(NumAgents, 0);
+    S.Issued.assign(NumAgents, 0);
     S.Ready.assign(NumAgents, 0.0);
     S.Heads.assign(NumAgents, AgentHead());
 
@@ -300,12 +344,14 @@ private:
         fail(SchedCheck.diagnostic("simulation event relaxation"));
         return;
       }
+      supply();
+      if (Failure)
+        return;
       size_t BestAgent = ~size_t(0);
       double BestStart = 0.0;
       bool AnyPending = false;
       for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
-        const std::vector<uint32_t> &Stream = M.stream(Agent);
-        if (S.Cursor[Agent] >= Stream.size())
+        if (!M.hasHead(Agent))
           continue;
         AnyPending = true;
         AgentHead &Head = S.Heads[Agent];
@@ -313,9 +359,8 @@ private:
             !M.completed(Head.Blocker))
           continue;
         if (Head.Is != AgentHead::State::Ready) {
-          bool IsReady = M.ready(M.inst(Stream[S.Cursor[Agent]]),
-                                 Config.BarrierLatency, Head.Wait,
-                                 Head.Blocker);
+          bool IsReady = M.ready(M.inst(M.head(Agent)), Config.BarrierLatency,
+                                 Head.Wait, Head.Blocker);
           Head.Is = IsReady ? AgentHead::State::Ready
                             : AgentHead::State::Blocked;
           if (!IsReady)
@@ -331,23 +376,40 @@ private:
         break;
       if (BestAgent == ~size_t(0)) {
         for (size_t Agent = 0; Agent < NumAgents; ++Agent)
-          if (S.Cursor[Agent] < M.stream(Agent).size()) {
+          if (M.hasHead(Agent)) {
             fail(formatString(
                 "simulation deadlock: agent %zu blocked at instruction %zu "
                 "(missing event producer)",
-                Agent, S.Cursor[Agent]));
+                Agent, static_cast<size_t>(S.Issued[Agent])));
             return;
           }
       }
-      executeInstance(M.stream(BestAgent)[S.Cursor[BestAgent]],
-                      S.Ready[BestAgent], S.Heads[BestAgent].Wait);
-      ++S.Cursor[BestAgent];
+      executeInstance(M.head(BestAgent), S.Ready[BestAgent],
+                      S.Heads[BestAgent].Wait);
+      M.pop(BestAgent);
+      ++S.Issued[BestAgent];
       S.Heads[BestAgent] = AgentHead();
+      if (RaceSeen && Extrapolate)
+        return; // Rerun without extrapolation to list the hazards.
     }
     for (size_t Agent = 0; Agent < NumAgents; ++Agent)
       Finish = std::max(Finish, S.Ready[Agent]);
     // Outstanding async completions also bound the block time.
     Finish = std::max(Finish, LastCompletion);
+  }
+
+  /// Expands steps until every agent that may still receive an instance
+  /// has one queued, so no agent that could issue is missing its head.
+  void supply() {
+    for (size_t Agent = 0; Agent < M.numAgents(); ++Agent)
+      while (M.needsExpansion(Agent)) {
+        if (Extrapolate)
+          atBoundary();
+        if (!M.expandNext())
+          break;
+      }
+    if (M.failure())
+      fail(*M.failure());
   }
 
   void executeInstance(uint32_t InstIdx, double &Ready, double WaitTime) {
@@ -382,12 +444,181 @@ private:
 
     M.complete(Inst, Completion);
 
-    for (uint32_t I = S.SmemBegin[InstIdx], E = S.SmemBegin[InstIdx + 1];
-         I != E; ++I) {
+    uint32_t End = InstIdx + 1 < S.SmemBegin.size()
+                       ? S.SmemBegin[InstIdx + 1]
+                       : static_cast<uint32_t>(S.SmemPres.size());
+    for (uint32_t I = S.SmemBegin[InstIdx]; I != End; ++I) {
       const SmemPre &Pre = S.SmemPres[I];
-      S.Accesses.push_back({Pre.Tensor, Pre.Lo, Pre.Hi, Start, Completion,
-                            Pre.Write, Pre.Op, Pre.Wg, Pre.IterHash});
+      SmemAccess Access{Pre.Tensor, Pre.Lo,    Pre.Hi, Start,
+                        Completion, Pre.Write, Pre.Op, Pre.Wg,
+                        Pre.IterHash};
+      MaxSpan = std::max(MaxSpan, Completion - Start);
+      if (!RaceSeen)
+        RaceSeen = sweep(Access);
+      if (!Extrapolate)
+        S.Accesses.push_back(Access);
     }
+  }
+
+  //===--- Steady state ------------------------------------------------------===//
+
+  /// Called before each expansion step. At a boundary of a ring loop whose
+  /// iterations repeat, records the state relative to the latest start:
+  /// per agent the ready time, the TMA and Tensor Core free times, the
+  /// latest completion, then the model's queue lengths, completion slots
+  /// and open loop (AgentSchedule::appendSignature). A time that can no
+  /// longer bind any later start (below origin - barrier cost) is clamped
+  /// there. The state determines the rest of the run, so a match with an
+  /// earlier boundary means the schedule repeats from there on.
+  void atBoundary() {
+    uint32_t LoopOp;
+    int64_t Iter, Hi;
+    if (!M.atRingIteration(LoopOp, Iter, Hi))
+      return;
+    if (LoopOp != SteadyLoop) {
+      SteadyLoop = LoopOp;
+      clearPooled(S.Boundaries);
+      clearPooled(S.Signatures);
+      RunPeriod = 0;
+      Periodic = M.ringPeriodic(Phase, From) &&
+                 operandsPeriodic(LoopOp, Phase, From);
+    }
+    if (!Periodic || Iter < From || !M.queuedFrom(From))
+      return;
+
+    Boundary B;
+    B.Iter = Iter;
+    B.Origin = LastStart;
+    B.Flops = BlockFlops;
+    B.TmaBusy = TmaBusy;
+    B.TcBusy = TcBusy;
+    B.SigOff = static_cast<uint32_t>(S.Signatures.size());
+    double Floor = -Config.BarrierLatency;
+    auto Push = [&](double V) {
+      S.Signatures.push_back(std::max(V - B.Origin, Floor));
+    };
+    for (double Ready : S.Ready)
+      Push(Ready);
+    Push(TmaFree);
+    Push(TcFree);
+    Push(LastCompletion);
+    M.appendSignature(S.Signatures, B.Origin, Floor);
+    B.SigLen = static_cast<uint32_t>(S.Signatures.size()) - B.SigOff;
+    S.Boundaries.push_back(B);
+
+    // The most recent match is the shortest period.
+    const Boundary *Match = nullptr;
+    for (size_t I = S.Boundaries.size() - 1; I-- > 0;) {
+      const Boundary &Prev = S.Boundaries[I];
+      if ((Iter - Prev.Iter) % Phase == 0 && sameState(Prev, B)) {
+        Match = &Prev;
+        break;
+      }
+    }
+    if (!Match) {
+      RunPeriod = 0;
+    } else {
+      int64_t Period = Iter - Match->Iter;
+      if (Period != RunPeriod) {
+        RunPeriod = Period;
+        RunOrigin = Match->Origin;
+      }
+      // Skip only once the repeating run spans one period plus the
+      // longest access, with every access still in flight issued inside
+      // it (the race argument in docs/ARCHITECTURE.md).
+      double Delta = B.Origin - Match->Origin;
+      int64_t Periods = (Hi - Iter) / Period;
+      if (Periods > 0 && B.Origin - RunOrigin >= Delta + MaxSpan &&
+          inFlightSince(RunOrigin, B.Origin)) {
+        skip(*Match, B, Periods, Period, Delta);
+        return;
+      }
+    }
+    if (S.Boundaries.size() > 2 * MaxHistory)
+      trimHistory();
+  }
+
+  /// True when the timer's own per-iteration inputs repeat: every buffer
+  /// index of an operand in the loop's body is periodic in its variable.
+  bool operandsPeriodic(uint32_t LoopOp, int64_t &Period, int64_t &From) {
+    LoopVarId Var = M.op(LoopOp).Op->LoopVar;
+    for (uint32_t I = 0; I != M.numOps(); ++I) {
+      const AgentSchedule::OpRec &Rec = M.op(I);
+      if (Rec.Depth == 0 || M.chain(Rec)[0] != LoopOp)
+        continue;
+      for (uint32_t O = S.OperandBegin[I]; O != S.OperandBegin[I + 1]; ++O)
+        if (!S.Operands[O].Buf.periodicIn(Var, Period, From))
+          return false;
+    }
+    return true;
+  }
+
+  bool sameState(const Boundary &A, const Boundary &B) const {
+    if (A.SigLen != B.SigLen)
+      return false;
+    // Rounding noise of absolute times, far below any cost difference.
+    double Tol = 1e-12 * std::max(B.Origin, 1e6);
+    const double *X = S.Signatures.data() + A.SigOff;
+    const double *Y = S.Signatures.data() + B.SigOff;
+    for (uint32_t I = 0; I != A.SigLen; ++I) {
+      if (std::isnan(X[I]) || std::isnan(Y[I])) {
+        if (std::isnan(X[I]) != std::isnan(Y[I]))
+          return false;
+      } else if (std::fabs(X[I] - Y[I]) > Tol) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// True when every access that can still overlap a later one (it ends
+  /// after \p Now) started at or after \p Since.
+  bool inFlightSince(double Since, double Now) const {
+    for (const std::vector<SmemAccess> *Active :
+         {&S.ActiveReads, &S.ActiveWrites})
+      for (const SmemAccess &A : *Active)
+        if (A.End > Now && A.Start < Since)
+          return false;
+    return true;
+  }
+
+  /// Skips \p Periods periods of \p Period iterations from boundary \p B,
+  /// whose state repeats \p Match's shifted by \p Delta.
+  void skip(const Boundary &Match, const Boundary &B, int64_t Periods,
+            int64_t Period, double Delta) {
+    double Shift = Delta * static_cast<double>(Periods);
+    double Count = static_cast<double>(Periods);
+    int64_t Iterations = Period * Periods;
+    M.advance(Shift, Iterations);
+    for (size_t Agent = 0; Agent < M.numAgents(); ++Agent) {
+      S.Ready[Agent] += Shift;
+      S.Heads[Agent] = AgentHead();
+      S.Issued[Agent] += static_cast<uint64_t>(Iterations) *
+                         M.iterationInstances(Agent);
+    }
+    TmaFree += Shift;
+    TcFree += Shift;
+    LastCompletion += Shift;
+    LastStart += Shift;
+    BlockFlops += Count * (B.Flops - Match.Flops);
+    TmaBusy += Count * (B.TmaBusy - Match.TmaBusy);
+    TcBusy += Count * (B.TcBusy - Match.TcBusy);
+    for (std::vector<SmemAccess> *Active : {&S.ActiveReads, &S.ActiveWrites})
+      for (SmemAccess &A : *Active) {
+        A.Start += Shift;
+        A.End += Shift;
+      }
+    Skipped += Iterations;
+    Periodic = false; // Fewer than one period is left.
+  }
+
+  void trimHistory() {
+    size_t Drop = S.Boundaries.size() - MaxHistory;
+    uint32_t Cut = S.Boundaries[Drop].SigOff;
+    S.Boundaries.erase(S.Boundaries.begin(), S.Boundaries.begin() + Drop);
+    S.Signatures.erase(S.Signatures.begin(), S.Signatures.begin() + Cut);
+    for (Boundary &B : S.Boundaries)
+      B.SigOff -= Cut;
   }
 
   //===--- Race detection ----------------------------------------------------===//
@@ -413,44 +644,35 @@ private:
   /// Drops the accesses in \p Active that ended by \p B's start (they
   /// cannot overlap any later access either) and checks the rest against
   /// \p B.
-  bool sweepActive(std::vector<uint32_t> &Active, const SmemAccess &B) {
+  static bool sweepActive(std::vector<SmemAccess> &Active,
+                          const SmemAccess &B) {
     size_t Keep = 0;
-    for (uint32_t Idx : Active) {
-      const SmemAccess &A = S.Accesses[Idx];
+    for (const SmemAccess &A : Active) {
       if (A.End <= B.Start)
         continue;
       if (isRacePair(A, B))
         return true;
-      Active[Keep++] = Idx;
+      Active[Keep++] = A;
     }
     Active.resize(Keep);
     return false;
   }
 
-  /// Interval sweep over the access trace, which is already in start
-  /// order: an access only needs checking against the accesses still in
-  /// flight when it starts, and a read only against in-flight writes, so
-  /// the all-clear case (every healthy kernel) is near-linear.
-  bool anyRace() {
-    clearPooled(S.ActiveReads);
-    clearPooled(S.ActiveWrites);
-    for (uint32_t Idx = 0, N = static_cast<uint32_t>(S.Accesses.size());
-         Idx != N; ++Idx) {
-      const SmemAccess &B = S.Accesses[Idx];
-      if (sweepActive(S.ActiveWrites, B) ||
-          (B.Write && sweepActive(S.ActiveReads, B)))
-        return true;
-      (B.Write ? S.ActiveWrites : S.ActiveReads).push_back(Idx);
-    }
+  /// Interval sweep, fed in issue (= start) order: an access only needs
+  /// checking against the accesses still in flight when it starts, and a
+  /// read only against in-flight writes, so the all-clear case (every
+  /// healthy kernel) is near-linear. True on the first hazard.
+  bool sweep(const SmemAccess &B) {
+    if (sweepActive(S.ActiveWrites, B) ||
+        (B.Write && sweepActive(S.ActiveReads, B)))
+      return true;
+    (B.Write ? S.ActiveWrites : S.ActiveReads).push_back(B);
     return false;
   }
 
-  void detectRaces() {
-    // Fast path: prove the trace race-free with the interval sweep. Only
-    // when a hazard exists does the exact pairwise scan run, so diagnostics
-    // keep their historical order and cap.
-    if (!anyRace())
-      return;
+  /// The exact pairwise scan over the full trace, run only once the sweep
+  /// found a hazard, so diagnostics keep their historical order and cap.
+  void describeRaces() {
     for (size_t I = 0; I < S.Accesses.size(); ++I) {
       for (size_t J = I + 1; J < S.Accesses.size(); ++J) {
         const SmemAccess &A = S.Accesses[I];
@@ -479,27 +701,41 @@ private:
       Failure = std::move(Diag);
   }
 
+  /// Boundaries kept for period search: periods up to this many
+  /// iterations are found.
+  static constexpr size_t MaxHistory = 64;
+
   const IRModule &Module;
   const SharedAllocation &Alloc;
   const SimConfig &Config;
   const Operation &Grid;
   TimerScratch &S;
   AgentSchedule &M;
-  const SimHints *Hints;
   const Cancellation *Cancel = nullptr;
   CancelCheck SchedCheck; ///< The scheduling loop's poll.
+  const bool Extrapolate;
 
   std::vector<std::string> Races;
+  bool RaceSeen = false;
 
   double TmaFree = 0, TcFree = 0;
   double TmaBusy = 0, TcBusy = 0;
   double Finish = 0, LastCompletion = 0;
   double LastStart = 0; ///< Start of the latest issued instance.
+  double MaxSpan = 0;   ///< Longest shared-memory access so far.
   /// Iteration hash of the coordinates at HashCoordOff.
   size_t IterHash = 0;
   uint32_t HashCoordOff = ~0u;
   double BlockFlops = 0;
   std::optional<Diagnostic> Failure;
+
+  // Steady-state detection for the ring loop SteadyLoop.
+  uint32_t SteadyLoop = ~0u;
+  bool Periodic = false;
+  int64_t Phase = 1, From = 0;
+  int64_t RunPeriod = 0; ///< Period of the current repeating run.
+  double RunOrigin = 0;  ///< Origin of the run's first boundary.
+  int64_t Skipped = 0;   ///< Iterations extrapolated.
 };
 
 } // namespace
@@ -751,13 +987,13 @@ private:
 // Entry point
 //===----------------------------------------------------------------------===//
 
-ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
-                                     const SharedAllocation &Alloc,
-                                     const SimConfig &Config,
-                                     const LeafRegistry &Leaves,
-                                     const std::vector<TensorData *> &EntryBuffers,
-                                     const SimHints *Hints,
-                                     const Cancellation *Cancel) {
+namespace {
+
+/// Times every block-level grid of \p Module (see simulate()).
+ErrorOr<SimResult> timeGrids(const IRModule &Module,
+                             const SharedAllocation &Alloc,
+                             const SimConfig &Config,
+                             const Cancellation *Cancel, bool Extrapolate) {
   SimResult Total;
   bool FoundGrid = false;
 
@@ -777,9 +1013,13 @@ ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
     Env.ProcIndices[Processor::Block] = 0;
     int64_t Blocks = Op->LoopHi.evaluate(Env) - Op->LoopLo.evaluate(Env);
 
-    BlockTimer Timer(Module, Alloc, Config, *Op, timerScratch(), Hints,
-                     Cancel);
+    BlockTimer Timer(Module, Alloc, Config, *Op, timerScratch(), Cancel,
+                     Extrapolate);
     ErrorOr<SimResult> BlockResult = Timer.run();
+    if (BlockResult && Timer.needsFullTrace())
+      BlockResult = BlockTimer(Module, Alloc, Config, *Op, timerScratch(),
+                               Cancel, /*Extrapolate=*/false)
+                        .run();
     if (!BlockResult)
       return BlockResult.diagnostic();
 
@@ -797,6 +1037,8 @@ ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
     Total.Waves += Waves;
     Total.TmaBusyCycles += BlockResult->TmaBusyCycles;
     Total.TensorCoreBusyCycles += BlockResult->TensorCoreBusyCycles;
+    Total.SimulatedIterations += BlockResult->SimulatedIterations;
+    Total.ExtrapolatedIterations += BlockResult->ExtrapolatedIterations;
     for (std::string &Race : BlockResult->Races)
       Total.Races.push_back(std::move(Race));
   }
@@ -813,12 +1055,32 @@ ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
 
   if (Total.TotalSeconds > 0)
     Total.TFlops = Total.TotalFlops / Total.TotalSeconds / 1e12;
-
-  if (!EntryBuffers.empty()) {
-    FunctionalExec Exec(Module, Leaves, EntryBuffers);
-    if (ErrorOrVoid Err = Exec.run(); !Err)
-      return Err.diagnostic();
-    Total.FunctionalRan = true;
-  }
   return Total;
+}
+
+} // namespace
+
+ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
+                                     const SharedAllocation &Alloc,
+                                     const SimConfig &Config,
+                                     const LeafRegistry &Leaves,
+                                     const std::vector<TensorData *> &EntryBuffers,
+                                     const Cancellation *Cancel) {
+  ErrorOr<SimResult> Total =
+      timeGrids(Module, Alloc, Config, Cancel, /*Extrapolate=*/true);
+  if (!Total || EntryBuffers.empty())
+    return Total;
+  FunctionalExec Exec(Module, Leaves, EntryBuffers);
+  if (ErrorOrVoid Err = Exec.run(); !Err)
+    return Err.diagnostic();
+  Total->FunctionalRan = true;
+  return Total;
+}
+
+ErrorOr<SimResult>
+cypress::detail::simulateEveryIteration(const IRModule &Module,
+                                        const SharedAllocation &Alloc,
+                                        const SimConfig &Config,
+                                        const Cancellation *Cancel) {
+  return timeGrids(Module, Alloc, Config, Cancel, /*Extrapolate=*/false);
 }

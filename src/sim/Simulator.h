@@ -92,15 +92,10 @@ struct SimResult {
   double TensorCoreBusyCycles = 0.0;
   std::vector<std::string> Races; ///< Detected shared-memory hazards.
   bool FunctionalRan = false;
-};
-
-/// Pre-sizing hints for the simulator's per-run tables, typically taken
-/// from the PipelineStats of the compile that produced the module (see
-/// CompiledKernel::runTiming). Optional: the simulator's pooled scratch
-/// reaches steady-state capacity after the first run either way.
-struct SimHints {
-  size_t NumOps = 0;
-  size_t NumEvents = 0;
+  /// Top-level loop iterations of one block that the timer simulated, and
+  /// those it extrapolated from a repeating schedule instead.
+  int64_t SimulatedIterations = 0;
+  int64_t ExtrapolatedIterations = 0;
 };
 
 /// Simulates \p Module. When \p EntryBuffers is non-empty (one TensorData
@@ -124,8 +119,19 @@ ErrorOr<SimResult> simulate(const IRModule &Module,
                             const SimConfig &Config,
                             const LeafRegistry &Leaves,
                             const std::vector<TensorData *> &EntryBuffers = {},
-                            const SimHints *Hints = nullptr,
                             const Cancellation *Cancel = nullptr);
+
+namespace detail {
+
+/// Timing only, with every main-loop iteration simulated: the oracle the
+/// steady-state extrapolation of simulate() is tested against. Same
+/// results contract and cancellation as simulate().
+ErrorOr<SimResult> simulateEveryIteration(const IRModule &Module,
+                                          const SharedAllocation &Alloc,
+                                          const SimConfig &Config,
+                                          const Cancellation *Cancel = nullptr);
+
+} // namespace detail
 
 } // namespace cypress
 

@@ -28,6 +28,7 @@
 #include "backend/CpuLowering.h"
 #include "kernels/Kernels.h"
 #include "runtime/Session.h"
+#include "sim/AgentSchedule.h"
 #include "support/FaultInjection.h"
 #include "TestKernels.h"
 
@@ -611,6 +612,73 @@ TEST(Robustness, SimulatorHonorsDeadlineAndInertCancellationIsFree) {
   ASSERT_TRUE(Plain);
   ASSERT_TRUE(WithInert);
   EXPECT_EQ(Plain->TFlops, WithInert->TFlops);
+}
+
+TEST(Robustness, DeadlineAndTokenStopLongTimingRuns) {
+  ScopedFaultSpec Disarm("");
+  // 131072 main-loop iterations: the extrapolating timer finishes in
+  // microseconds, but timing every iteration takes far longer than the
+  // budgets below, so the expansion and relaxation checkpoints must fire.
+  GemmConfig Config;
+  Config.M = Config.N = 4096;
+  Config.K = int64_t(1) << 21;
+  Config.W = 16;
+  testkernels::Compiled C = testkernels::compileGemm(Config);
+  ASSERT_NE(C.Kernel, nullptr) << C.Error;
+  ErrorOr<SimResult> Fast = C.Kernel->runTiming();
+  ASSERT_TRUE(Fast) << Fast.diagnostic().message();
+  EXPECT_GT(Fast->ExtrapolatedIterations, 130000);
+
+  auto TimeEveryIteration = [&](const Cancellation &Cancel) {
+    return detail::simulateEveryIteration(
+        C.Kernel->module(), C.Kernel->sharedPlan(), SimConfig(), &Cancel);
+  };
+  ErrorOr<SimResult> Late =
+      TimeEveryIteration(Cancellation(Deadline::afterMillis(2.0)));
+  ASSERT_FALSE(Late);
+  EXPECT_EQ(Late.diagnostic().code(), Diagnostic::Code::DeadlineExceeded);
+  EXPECT_NE(Late.diagnostic().message().find("simulation"),
+            std::string::npos);
+
+  CancelToken Token;
+  std::thread Canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Token.cancel();
+  });
+  ErrorOr<SimResult> Stopped =
+      TimeEveryIteration(Cancellation(Deadline::never(), &Token));
+  Canceller.join();
+  ASSERT_FALSE(Stopped);
+  EXPECT_EQ(Stopped.diagnostic().code(), Diagnostic::Code::Cancelled);
+}
+
+TEST(Robustness, LazyExpansionPollsCancellationPerStep) {
+  ScopedFaultSpec Disarm("");
+  testkernels::Compiled C = testkernels::compileGemm(
+      testkernels::headlineGemmConfig());
+  ASSERT_NE(C.Kernel, nullptr) << C.Error;
+  const Operation *Grid = nullptr;
+  for (const std::unique_ptr<Operation> &Op : C.Kernel->module().root().Ops)
+    if (Op->Kind == OpKind::PFor)
+      Grid = Op.get();
+  ASSERT_NE(Grid, nullptr);
+  ScalarEnv BlockEnv;
+  for (Processor Proc : {Processor::Block, Processor::Warpgroup,
+                         Processor::Warp, Processor::Thread})
+    BlockEnv.ProcIndices[Proc] = 0;
+
+  CancelToken Token;
+  Cancellation Cancel(Deadline::never(), &Token);
+  AgentSchedule Model;
+  ASSERT_TRUE(Model.build(C.Kernel->module(), *Grid, BlockEnv, "probe",
+                          &Cancel));
+  ASSERT_TRUE(Model.expandNext());
+  Token.cancel();
+  EXPECT_FALSE(Model.expandNext());
+  ASSERT_TRUE(Model.failure());
+  EXPECT_EQ(Model.failure()->code(), Diagnostic::Code::Cancelled);
+  EXPECT_NE(Model.failure()->message().find("probe expansion"),
+            std::string::npos);
 }
 
 TEST(Robustness, CpuLoweredExecutionHonorsCancellation) {

@@ -333,10 +333,11 @@ TEST(Timing, FunctionalAndTimingAgreeOnFlops) {
 
 namespace {
 
-/// Compiles the 4096^3 GEMM with the default pipeline.
-IRModule compileGemmModule(SharedAllocation &Alloc) {
+/// Compiles the 4096^2 GEMM with the default pipeline, at depth \p K.
+IRModule compileGemmModule(SharedAllocation &Alloc, int64_t K = 4096) {
   GemmConfig Config;
-  Config.M = Config.N = Config.K = 4096;
+  Config.M = Config.N = 4096;
+  Config.K = K;
   TaskRegistry Registry;
   registerGemmTasks(Registry);
   MappingSpec Mapping = gemmMapping(Config);
@@ -346,6 +347,21 @@ IRModule compileGemmModule(SharedAllocation &Alloc) {
       PassPipeline::defaultPipeline().run(Input, &Alloc);
   EXPECT_TRUE(Module) << (Module ? "" : Module.diagnostic().message());
   return Module ? std::move(*Module) : IRModule();
+}
+
+/// Drops every pipeline-lag precondition of \p Module; returns how many.
+size_t dropLagEdges(IRModule &Module) {
+  size_t Dropped = 0;
+  walkOps(Module.root(), [&](Operation &Op) {
+    size_t Before = Op.Preconds.size();
+    Op.Preconds.erase(std::remove_if(Op.Preconds.begin(), Op.Preconds.end(),
+                                     [](const EventRef &Ref) {
+                                       return Ref.IterLag > 0;
+                                     }),
+                      Op.Preconds.end());
+    Dropped += Before - Op.Preconds.size();
+  });
+  return Dropped;
 }
 
 /// Times \p Module under \p Alloc.
@@ -366,17 +382,7 @@ TEST(RaceDetector, DroppedPipelineLagEdgesRaceOnReusedBuffer) {
   SharedAllocation Alloc;
   IRModule Module = compileGemmModule(Alloc);
   IRModule Stripped = compileGemmModule(Alloc);
-  size_t Dropped = 0;
-  walkOps(Stripped.root(), [&](Operation &Op) {
-    size_t Before = Op.Preconds.size();
-    Op.Preconds.erase(std::remove_if(Op.Preconds.begin(), Op.Preconds.end(),
-                                     [](const EventRef &Ref) {
-                                       return Ref.IterLag > 0;
-                                     }),
-                      Op.Preconds.end());
-    Dropped += Before - Op.Preconds.size();
-  });
-  EXPECT_EQ(Dropped, 2u);
+  EXPECT_EQ(dropLagEdges(Stripped), 2u);
 
   SimResult Clean = timeModule(std::move(Module), Alloc);
   SimResult Racy = timeModule(std::move(Stripped), Alloc);
@@ -391,6 +397,34 @@ TEST(RaceDetector, DroppedPipelineLagEdgesRaceOnReusedBuffer) {
   // windows move, not the block time.
   EXPECT_NEAR(Clean.BlockCycles, 66537.71, 0.01);
   EXPECT_NEAR(Racy.BlockCycles, 66537.71, 0.01);
+}
+
+TEST(RaceDetector, DroppedLagEdgesRaceAtLongTripCount) {
+  // The same stripped GEMM with 512 main-loop iterations: the timer that
+  // extrapolates the steady state must report exactly the hazards of the
+  // timer that simulates every iteration, in the same order.
+  SharedAllocation Alloc;
+  IRModule Module = compileGemmModule(Alloc, 32768);
+  IRModule Stripped = compileGemmModule(Alloc, 32768);
+  EXPECT_EQ(dropLagEdges(Stripped), 2u);
+
+  ErrorOr<SimResult> Full = detail::simulateEveryIteration(
+      Stripped, Alloc, SimConfig());
+  ASSERT_TRUE(Full) << Full.diagnostic().message();
+  SimResult Clean = timeModule(std::move(Module), Alloc);
+  SimResult Racy = timeModule(std::move(Stripped), Alloc);
+  EXPECT_TRUE(Clean.Races.empty());
+  EXPECT_GT(Clean.ExtrapolatedIterations, 400);
+  ASSERT_EQ(Racy.Races.size(), 9u);
+  EXPECT_EQ(Racy.Races, Full->Races);
+  for (const std::string &Race : Racy.Races)
+    EXPECT_NE(Race.find("shared-memory hazard between gemm_tile.A.7 and "
+                        "gemm_tile.A.7"),
+              std::string::npos)
+        << Race;
+  EXPECT_EQ(Racy.BlockCycles, Full->BlockCycles);
+  EXPECT_NEAR(Clean.BlockCycles, Racy.BlockCycles,
+              1e-9 * Racy.BlockCycles);
 }
 
 namespace {

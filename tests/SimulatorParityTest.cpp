@@ -17,6 +17,7 @@
 #include "autotune/KernelSpaces.h"
 #include "autotune/Tuner.h"
 #include "TestKernels.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,153 @@ TEST(SimulatorParity, AttentionFa3LongSequenceGolden) {
   expectLongGolden(C.Kernel->runTiming(), 463953.64981890173,
                    802.39490857027511, 1697661517824.0, 1024, 8,
                    163209.84615384578, 377281.03443428909);
+}
+
+//===----------------------------------------------------------------------===//
+// Steady-state extrapolation against full timing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Times \p Kernel both ways: extrapolated (the public path) and with every
+/// iteration simulated (the oracle). Cycles, busy cycles and flops agree
+/// to 1e-9 relative and the race lists are identical. Returns the
+/// extrapolated iterations, so callers can check the path was taken.
+int64_t expectExtrapolationMatchesFullTiming(const CompiledKernel &Kernel) {
+  ErrorOr<SimResult> Fast = Kernel.runTiming();
+  ErrorOr<SimResult> Full = detail::simulateEveryIteration(
+      Kernel.module(), Kernel.sharedPlan(), SimConfig());
+  EXPECT_EQ(static_cast<bool>(Fast), static_cast<bool>(Full));
+  if (!Fast || !Full) {
+    if (!Fast && !Full) {
+      EXPECT_EQ(Fast.diagnostic().str(), Full.diagnostic().str());
+    }
+    return 0;
+  }
+  auto Near = [](double A, double B) {
+    return std::abs(A - B) <= 1e-9 * std::max(std::abs(B), 1.0);
+  };
+  EXPECT_PRED2(Near, Fast->BlockCycles, Full->BlockCycles);
+  EXPECT_PRED2(Near, Fast->TFlops, Full->TFlops);
+  EXPECT_PRED2(Near, Fast->TotalFlops, Full->TotalFlops);
+  EXPECT_PRED2(Near, Fast->TmaBusyCycles, Full->TmaBusyCycles);
+  EXPECT_PRED2(Near, Fast->TensorCoreBusyCycles, Full->TensorCoreBusyCycles);
+  EXPECT_EQ(Fast->Races, Full->Races);
+  EXPECT_EQ(Full->ExtrapolatedIterations, 0);
+  EXPECT_EQ(Fast->SimulatedIterations + Fast->ExtrapolatedIterations,
+            Full->SimulatedIterations);
+  return Fast->ExtrapolatedIterations;
+}
+
+/// The GEMM config at a seeded feasible point of the guided GEMM space
+/// around \p Base (the sampler of PrefixReplay.GemmReplaysMatchFreshCompiles).
+GemmConfig sampleGemm(const MappingSpace &Space, const GemmConfig &Base,
+                      SplitMix64 &Rng) {
+  while (true) {
+    MappingSpace::Candidate Cand =
+        Space.candidateAt(static_cast<size_t>(Rng.nextBelow(Space.size())));
+    if (!Cand.feasible())
+      continue;
+    GemmConfig Config = Base;
+    for (const auto &[Name, Value] : Cand.Point.values())
+      EXPECT_TRUE(applyTunable(Config, Name, Value));
+    return Config;
+  }
+}
+
+AttentionConfig sampleAttention(const MappingSpace &Space,
+                                const AttentionConfig &Base,
+                                SplitMix64 &Rng) {
+  while (true) {
+    MappingSpace::Candidate Cand =
+        Space.candidateAt(static_cast<size_t>(Rng.nextBelow(Space.size())));
+    if (!Cand.feasible())
+      continue;
+    AttentionConfig Config = Base;
+    for (const auto &[Name, Value] : Cand.Point.values())
+      EXPECT_TRUE(applyTunable(Config, Name, Value));
+    return Config;
+  }
+}
+
+} // namespace
+
+TEST(SteadyState, ExtrapolationMatchesFullTimingOnSampledMappings) {
+  const MachineModel &H100 = MachineModel::h100();
+  SplitMix64 Rng(/*Seed=*/23);
+  int64_t Extrapolated = 0;
+  size_t Timed = 0;
+
+  // GEMM-shaped families at K up to 32768 (W = 16: 2048 iterations).
+  GemmConfig GemmBase;
+  GemmBase.M = GemmBase.N = 4096;
+  MappingSpace GemmSpace(gemmSearchSpec(GemmBase, gemmGuidedAxes()), H100);
+  for (int Family = 0; Family < 4; ++Family) {
+    for (int Sample = 0; Sample < 6; ++Sample) {
+      GemmConfig Config = sampleGemm(GemmSpace, GemmBase, Rng);
+      Config.K = int64_t(4096) << Rng.nextBelow(4);
+      if (Family == 1)
+        Config.L = 2;
+      SCOPED_TRACE(formatString("family %d U%lld V%lld W%lld K%lld PIPE%lld "
+                                "WGS%lld",
+                                Family, (long long)Config.U,
+                                (long long)Config.V, (long long)Config.W,
+                                (long long)Config.K, (long long)Config.Pipe,
+                                (long long)Config.WGS));
+      Compiled C = Family == 0   ? compileGemm(Config)
+                   : Family == 1 ? compileBatchedGemm(Config)
+                   : Family == 2 ? compileDualGemm(Config)
+                                 : compileGemmRed(Config);
+      if (!C.Kernel)
+        continue; // The fused variants need more shared memory.
+      Extrapolated += expectExtrapolationMatchesFullTiming(*C.Kernel);
+      ++Timed;
+    }
+  }
+
+  // FA2 and FA3 at sequence lengths up to 32768.
+  for (bool Staged : {false, true}) {
+    AttentionConfig Base = Staged ? fa3Config(4096) : fa2Config(4096);
+    MappingSpace Space(attentionSearchSpec(Base, attentionGuidedAxes()),
+                       H100);
+    for (int Sample = 0; Sample < 6; ++Sample) {
+      AttentionConfig Config = sampleAttention(Space, Base, Rng);
+      Config.SeqLen = int64_t(4096) << Rng.nextBelow(4);
+      SCOPED_TRACE(formatString("%s BR%lld BC%lld WGS%lld PIPE%lld SEQ%lld",
+                                Staged ? "fa3" : "fa2", (long long)Config.BR,
+                                (long long)Config.BC, (long long)Config.WGS,
+                                (long long)Config.Pipe,
+                                (long long)Config.SeqLen));
+      Compiled C = compileAttention(Config);
+      if (!C.Kernel)
+        continue;
+      Extrapolated += expectExtrapolationMatchesFullTiming(*C.Kernel);
+      ++Timed;
+    }
+  }
+  EXPECT_GT(Timed, 24u);
+  EXPECT_GT(Extrapolated, 0);
+}
+
+TEST(SteadyState, LongMainLoopsAreExtrapolated) {
+  // The long-trip-count goldens reach most of their iterations by
+  // extrapolation, and still meet the full timer.
+  GemmConfig Config;
+  Config.M = Config.N = 4096;
+  Config.K = 32768;
+  Config.W = 16;
+  Compiled G = compileGemm(Config);
+  ASSERT_NE(G.Kernel, nullptr) << G.Error;
+  ErrorOr<SimResult> Result = G.Kernel->runTiming();
+  ASSERT_TRUE(Result);
+  EXPECT_EQ(Result->SimulatedIterations + Result->ExtrapolatedIterations,
+            2048);
+  EXPECT_GT(Result->ExtrapolatedIterations, 1900);
+  expectExtrapolationMatchesFullTiming(*G.Kernel);
+
+  Compiled A = compileAttention(fa3Config(16384));
+  ASSERT_NE(A.Kernel, nullptr) << A.Error;
+  EXPECT_GT(expectExtrapolationMatchesFullTiming(*A.Kernel), 0);
 }
 
 //===----------------------------------------------------------------------===//
