@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Measures the cost of one timing simulation (`runTiming`) for the
-/// paper's headline kernels, plus the end-to-end wall time of the
-/// mapping_explorer tuning grid — the two numbers the PR 4 simulator
-/// rewrite is accountable for. Every candidate evaluation in the autotuner
+/// paper's headline kernels and for GEMMs whose main loop runs 256 to
+/// 1024 iterations, plus the end-to-end wall time of the mapping_explorer
+/// tuning grid. Every candidate evaluation in the autotuner
 /// bottoms out in runTiming, so µs-per-run here multiplies directly into
 /// sweep throughput. Under CYPRESS_BENCH_JSON the results are dumped as
 /// BENCH_sim_hotpath.json (schema in docs/BENCHMARKS.md); CI compares the
@@ -41,6 +41,9 @@ struct HotpathRow {
   double MicrosPerRun = 0.0;
   double BlockCycles = 0.0;
   double TFlops = 0.0;
+  /// Main-loop iterations of one block timed step by step, and skipped by
+  /// steady-state extrapolation.
+  int64_t SimIters = 0, ExtrapolatedIters = 0;
 };
 
 /// Times `Runs` timing-only simulations of one compiled kernel per batch
@@ -48,13 +51,11 @@ struct HotpathRow {
 /// fastest batch — the shared warmup-plus-best-of-kQuietBestOf methodology
 /// (BenchUtil.h) that makes the CI regression gate stable on shared
 /// runners and the committed baselines comparable across benches.
-HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
-                      int Batches = kQuietBestOf,
-                      const Cancellation *Cancel = nullptr) {
-  HotpathRow Row{Name, Runs, 0.0, 0.0, 0.0};
+HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs) {
+  HotpathRow Row{Name, Runs};
   if (!Owned.Kernel)
     return Row;
-  ErrorOr<SimResult> Warm = Owned.Kernel->runTiming(SimConfig(), Cancel);
+  ErrorOr<SimResult> Warm = Owned.Kernel->runTiming();
   if (!Warm) {
     std::fprintf(stderr, "error: %s: %s\n", Name,
                  Warm.diagnostic().message().c_str());
@@ -62,10 +63,12 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
   }
   Row.BlockCycles = Warm->BlockCycles;
   Row.TFlops = Warm->TFlops;
-  for (int Batch = 0; Batch < Batches; ++Batch) {
+  Row.SimIters = Warm->SimulatedIterations;
+  Row.ExtrapolatedIters = Warm->ExtrapolatedIterations;
+  for (int Batch = 0; Batch < kQuietBestOf; ++Batch) {
     Clock::time_point Start = Clock::now();
     for (int I = 0; I < Runs; ++I)
-      if (!Owned.Kernel->runTiming(SimConfig(), Cancel))
+      if (!Owned.Kernel->runTiming())
         return Row;
     double Micros = millisSince(Start) * 1000.0 / Runs;
     if (Batch == 0 || Micros < Row.MicrosPerRun)
@@ -74,12 +77,60 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
   return Row;
 }
 
+struct CheckpointOverhead {
+  double PlainMicros = 0.0, DeadlineMicros = 0.0;
+  double pct() const {
+    return PlainMicros > 0.0
+               ? (DeadlineMicros - PlainMicros) / PlainMicros * 100.0
+               : 0.0;
+  }
+};
+
+/// Cancellation-checkpoint overhead of one timing run of \p Owned: batches
+/// of \p Runs plain runs (nullptr Cancellation) and of runs with a
+/// far-future deadline armed alternate, so host jitter hits both alike,
+/// and the fastest batch of each is kept — bench_compile_time's
+/// measureCheckpointOverhead method, with the order within each pair
+/// alternating as well.
+CheckpointOverhead measureCheckpointOverhead(const OwnedKernel &Owned,
+                                             int Runs) {
+  CheckpointOverhead Result;
+  if (!Owned.Kernel)
+    return Result;
+  Cancellation Armed(Deadline::afterMillis(1e9));
+  auto Batch = [&](const Cancellation *Cancel) {
+    Clock::time_point Start = Clock::now();
+    for (int I = 0; I < Runs; ++I)
+      if (!Owned.Kernel->runTiming(SimConfig(), Cancel))
+        return 0.0;
+    return millisSince(Start) * 1000.0 / Runs;
+  };
+  for (int I = 0; I < 4 * (kQuietBestOf + 1); ++I) {
+    // Which side goes first alternates too.
+    double Plain = 0.0, WithDeadline = 0.0;
+    if (I % 2 == 0) {
+      Plain = Batch(nullptr);
+      WithDeadline = Batch(&Armed);
+    } else {
+      WithDeadline = Batch(&Armed);
+      Plain = Batch(nullptr);
+    }
+    if (I == 0 || Plain <= 0.0 || WithDeadline <= 0.0)
+      continue; // Warmup (and bail-outs keep zeros out of the min).
+    if (Result.PlainMicros == 0.0 || Plain < Result.PlainMicros)
+      Result.PlainMicros = Plain;
+    if (Result.DeadlineMicros == 0.0 || WithDeadline < Result.DeadlineMicros)
+      Result.DeadlineMicros = WithDeadline;
+  }
+  return Result;
+}
+
 } // namespace
 
 int main() {
   std::printf("== Simulator hot path (timing-only runs) ==\n");
-  std::printf("%-14s %8s %14s %16s %10s\n", "kernel", "runs", "us/run",
-              "block cycles", "TFLOP/s");
+  std::printf("%-22s %6s %10s %16s %9s %8s %8s\n", "kernel", "runs",
+              "us/run", "block cycles", "TFLOP/s", "sim it", "extrap");
 
   GemmConfig Gemm;
   Gemm.M = Gemm.N = Gemm.K = 4096;
@@ -106,32 +157,48 @@ int main() {
       "gemm", registerGemmTasks, [&] { return gemmMapping(Deep); },
       [&] { return gemmArgTypes(Deep); });
 
+  // The main loop's trip count alone grows 8x between these two (256 and
+  // 2048 iterations): with steady-state extrapolation their cost should
+  // stay within 2x of each other.
+  auto NarrowGemm = [](int64_t K) {
+    GemmConfig Config;
+    Config.M = Config.N = 4096;
+    Config.K = K;
+    Config.W = 16;
+    return compileOwned(
+        "gemm", registerGemmTasks, [&] { return gemmMapping(Config); },
+        [&] { return gemmArgTypes(Config); });
+  };
+  OwnedKernel ShortKKernel = NarrowGemm(4096);
+  OwnedKernel LongKKernel = NarrowGemm(32768);
+
   const int Runs = 200;
   HotpathRow Rows[] = {timeKernel("gemm_4096", GemmKernel, Runs),
                        timeKernel("fa2_4096", Fa2Kernel, Runs),
                        timeKernel("fa3_4096", Fa3Kernel, Runs),
-                       timeKernel("gemm_16384_w16", DeepKernel, Runs / 4)};
+                       timeKernel("gemm_16384_w16", DeepKernel, Runs),
+                       timeKernel("gemm_4096_k4096_w16", ShortKKernel, Runs),
+                       timeKernel("gemm_4096_k32768_w16", LongKKernel, Runs)};
   for (const HotpathRow &Row : Rows)
-    std::printf("%-14s %8d %14.1f %16.1f %10.1f\n", Row.Name, Row.Runs,
-                Row.MicrosPerRun, Row.BlockCycles, Row.TFlops);
+    std::printf("%-22s %6d %10.1f %16.1f %9.1f %8lld %8lld\n", Row.Name,
+                Row.Runs, Row.MicrosPerRun, Row.BlockCycles, Row.TFlops,
+                static_cast<long long>(Row.SimIters),
+                static_cast<long long>(Row.ExtrapolatedIters));
+  double KScaling = Rows[4].MicrosPerRun > 0.0
+                        ? Rows[5].MicrosPerRun / Rows[4].MicrosPerRun
+                        : 0.0;
+  std::printf("\nrunTiming K=32768 / K=4096 (W=16): %.2fx\n", KScaling);
 
-  // Cancellation-checkpoint overhead on the simulator hot path: the same
-  // gemm timing run with a far-future deadline armed (expansion and
-  // per-relaxation-step strided polls live) vs the nullptr fast path
-  // measured above. Reported, never gated; the percentage is the claim
-  // docs/BENCHMARKS.md records.
-  Cancellation Armed(Deadline::afterMillis(1e9));
-  HotpathRow GemmDeadline =
-      timeKernel("gemm_4096", GemmKernel, Runs, kQuietBestOf, &Armed);
-  double CheckpointPct =
-      Rows[0].MicrosPerRun > 0.0
-          ? (GemmDeadline.MicrosPerRun - Rows[0].MicrosPerRun) /
-                Rows[0].MicrosPerRun * 100.0
-          : 0.0;
-  std::printf("\ncancellation checkpoints (gemm_4096): %.1f us/run plain, "
+  // Cancellation-checkpoint overhead on the simulator hot path: the gemm
+  // timing run with a far-future deadline armed (expansion and
+  // per-relaxation-step strided polls live) vs the nullptr fast path.
+  // Reported, never gated; the percentage is the claim docs/BENCHMARKS.md
+  // records.
+  CheckpointOverhead Checkpoint = measureCheckpointOverhead(GemmKernel, Runs);
+  std::printf("cancellation checkpoints (gemm_4096): %.1f us/run plain, "
               "%.1f us/run with armed deadline (%+.2f%%)\n",
-              Rows[0].MicrosPerRun, GemmDeadline.MicrosPerRun,
-              CheckpointPct);
+              Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
+              Checkpoint.pct());
 
   // The mapping_explorer grid, end to end: enumerate + prune + compile +
   // simulate on a cold session (no kernel- or cost-cache reuse), exactly
@@ -183,16 +250,20 @@ int main() {
       std::fprintf(Out,
                    "    {\"kernel\": \"%s\", \"runs\": %d, "
                    "\"us_per_run\": %.6g, \"block_cycles\": %.17g, "
-                   "\"tflops\": %.6g}%s\n",
+                   "\"tflops\": %.6g, \"sim_iters\": %lld, "
+                   "\"extrapolated_iters\": %lld}%s\n",
                    Rows[I].Name, Rows[I].Runs, Rows[I].MicrosPerRun,
                    Rows[I].BlockCycles, Rows[I].TFlops,
+                   static_cast<long long>(Rows[I].SimIters),
+                   static_cast<long long>(Rows[I].ExtrapolatedIters),
                    I + 1 < sizeof(Rows) / sizeof(Rows[0]) ? "," : "");
     std::fprintf(Out,
-                 "  ],\n  \"checkpoint_overhead\": {\"plain_us_per_run\": "
+                 "  ],\n  \"k_scaling\": %.4g,\n"
+                 "  \"checkpoint_overhead\": {\"plain_us_per_run\": "
                  "%.6g, \"deadline_us_per_run\": %.6g, \"overhead_pct\": "
                  "%.2f},\n",
-                 Rows[0].MicrosPerRun, GemmDeadline.MicrosPerRun,
-                 CheckpointPct);
+                 KScaling, Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
+                 Checkpoint.pct());
     std::fprintf(Out,
                  "  \"sweep\": {\"candidates\": %zu, \"pruned\": %zu, "
                  "\"pipelines_run\": %zu, \"wall_ms\": %.6g, "

@@ -60,9 +60,17 @@ int main() {
               "hits, %zu pipelines run (%zu replayed the pass prefix)\n",
               Stats.Candidates, Stats.Pruned, Stats.SessionHits,
               Stats.PipelinesRun, Stats.PrefixReplays);
-  if (const CandidateResult *Best = Result.best())
+  if (const CandidateResult *Best = Result.best()) {
     std::printf("best mapping: %s (%.1f TFLOP/s)\n",
                 Best->Point.str().c_str(), Best->TFlops);
+    // The timer simulates a main loop only until its schedule repeats and
+    // extrapolates the remaining whole periods.
+    if (ErrorOr<SimResult> Timing = Best->Kernel->runTiming())
+      std::printf("  main loop: %lld iterations simulated, %lld "
+                  "extrapolated\n",
+                  static_cast<long long>(Timing->SimulatedIterations),
+                  static_cast<long long>(Timing->ExtrapolatedIterations));
+  }
 
   // The same call against the full guided space — per-stream pipeline
   // depths, exec-unit assignment, and the shared-memory cap crossed with

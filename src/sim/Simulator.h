@@ -24,6 +24,15 @@
 /// A write-after-read race detector checks that aliased shared-memory
 /// buffers are never overwritten while a reader is still in flight.
 ///
+/// Timing simulates a block's main loop only until its schedule repeats:
+/// once the state at one iteration boundary equals the state at an
+/// earlier one shifted in time, the remaining whole periods are skipped
+/// by that shift, and only the tail and the epilogue are simulated (see
+/// docs/ARCHITECTURE.md, "Lazy expansion and steady-state
+/// extrapolation"). Results match timing every iteration to rounding;
+/// detail::simulateEveryIteration keeps that full timing as the test
+/// oracle.
+///
 /// One simulation is sequential: it expands, schedules and sweeps on the
 /// calling thread. Parallelism is across kernels — the autotuner times a
 /// batch of candidates at once on its session's worker pool.
