@@ -44,6 +44,49 @@ namespace cypress::bench {
 /// its own repeat policy under different host load.
 constexpr int kQuietBestOf = 5;
 
+/// Cost of the cooperative cancellation checkpoints (support/Cancel.h):
+/// the same work with a far-future deadline armed (every strided poll
+/// live) vs without any Cancellation (the null fast path). Reported,
+/// never gated — the percentage should stay in the low single digits.
+struct CheckpointOverhead {
+  double PlainMicros = 0.0;
+  double DeadlineMicros = 0.0;
+
+  double overheadPct() const {
+    return PlainMicros > 0.0
+               ? (DeadlineMicros - PlainMicros) / PlainMicros * 100.0
+               : 0.0;
+  }
+};
+
+/// Measures \p Run (microseconds of one unit of work under the given
+/// Cancellation, 0 on failure) plain and armed in alternating pairs, the
+/// order within a pair alternating too, so host jitter hits both sides
+/// alike; back-to-back batches would let one scheduling hiccup masquerade
+/// as checkpoint cost. Keeps the fastest of each after a warmup pair.
+template <typename RunFn>
+CheckpointOverhead measureCheckpointOverhead(RunFn Run) {
+  Cancellation Armed(Deadline::afterMillis(1e9));
+  CheckpointOverhead Result;
+  for (int I = 0; I < 4 * (kQuietBestOf + 1); ++I) {
+    double Plain = 0.0, WithDeadline = 0.0;
+    if (I % 2 == 0) {
+      Plain = Run(nullptr);
+      WithDeadline = Run(&Armed);
+    } else {
+      WithDeadline = Run(&Armed);
+      Plain = Run(nullptr);
+    }
+    if (I == 0 || Plain <= 0.0 || WithDeadline <= 0.0)
+      continue; // Warmup (and bail-outs keep zeros out of the min).
+    if (Result.PlainMicros == 0.0 || Plain < Result.PlainMicros)
+      Result.PlainMicros = Plain;
+    if (Result.DeadlineMicros == 0.0 || WithDeadline < Result.DeadlineMicros)
+      Result.DeadlineMicros = WithDeadline;
+  }
+  return Result;
+}
+
 /// Host-quietness probe for the JSON's `host_contention` sanity field:
 /// times a fixed ~1ms spin workload several times and reports median/min.
 /// On an idle core the samples are nearly identical (~1.0); a timeshared

@@ -80,31 +80,15 @@ void printBreakdown(std::FILE *Out,
   }
 }
 
-/// Cost of the cooperative cancellation checkpoints (support/Cancel.h):
-/// the same full-pipeline gemm compile with a far-future deadline armed
-/// (every inter-pass and worklist checkpoint live) vs without any
-/// Cancellation (the null fast path). Reported, never gated — the
-/// interesting number is the overhead percentage, which should stay in
-/// the noise.
-struct CheckpointOverhead {
-  double PlainMicros = 0.0;
-  double DeadlineMicros = 0.0;
-
-  double overheadPct() const {
-    return PlainMicros > 0.0
-               ? (DeadlineMicros - PlainMicros) / PlainMicros * 100.0
-               : 0.0;
-  }
-};
-
-CheckpointOverhead measureCheckpointOverhead() {
+/// Checkpoint overhead of the full-pipeline gemm compile: every
+/// inter-pass and worklist checkpoint live when armed.
+bench::CheckpointOverhead measurePipelineCheckpointOverhead() {
   TaskRegistry Registry;
   MappingSpec Mapping;
   std::vector<TensorType> Args;
   CompileInput Input = gemmInput(Registry, Mapping, Args);
   PassPipeline Pipeline = PassPipeline::defaultPipeline();
-
-  auto RunOnce = [&](const Cancellation *Cancel) {
+  return bench::measureCheckpointOverhead([&](const Cancellation *Cancel) {
     PipelineStats Stats;
     ErrorOr<IRModule> Module = Pipeline.run(Input, nullptr, &Stats, Cancel);
     if (!Module) {
@@ -113,31 +97,13 @@ CheckpointOverhead measureCheckpointOverhead() {
       return 0.0;
     }
     return Stats.TotalMicros;
-  };
-
-  // Interleave the two variants (plain, armed, plain, armed, ...) so OS
-  // jitter hits both equally — at ~50 us per compile, back-to-back batches
-  // would let one scheduling hiccup masquerade as checkpoint cost.
-  Cancellation Armed(Deadline::afterMillis(1e9));
-  CheckpointOverhead Result;
-  for (int I = 0; I < 4 * (bench::kQuietBestOf + 1); ++I) {
-    double Plain = RunOnce(nullptr);
-    double WithDeadline = RunOnce(&Armed);
-    if (I == 0 || Plain <= 0.0 || WithDeadline <= 0.0)
-      continue; // Warmup (and bail-outs keep zeros out of the min).
-    if (Result.PlainMicros == 0.0 || Plain < Result.PlainMicros)
-      Result.PlainMicros = Plain;
-    if (Result.DeadlineMicros == 0.0 ||
-        WithDeadline < Result.DeadlineMicros)
-      Result.DeadlineMicros = WithDeadline;
-  }
-  return Result;
+  });
 }
 
 /// BENCH_compile_time.json via the same CYPRESS_BENCH_JSON convention as
 /// the Table drivers (value = directory, "1" = cwd).
 void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
-                    const CheckpointOverhead &Checkpoint) {
+                    const bench::CheckpointOverhead &Checkpoint) {
   std::FILE *Out = bench::benchJsonOpen("compile_time");
   if (!Out)
     return;
@@ -223,7 +189,7 @@ void reportPerPassBreakdown(std::FILE *Out) {
 
   printBreakdown(Out, Breakdowns);
 
-  CheckpointOverhead Checkpoint = measureCheckpointOverhead();
+  bench::CheckpointOverhead Checkpoint = measurePipelineCheckpointOverhead();
   std::fprintf(Out,
                "cancellation checkpoints (gemm_4096 pipeline): %.1f us "
                "plain, %.1f us with armed deadline (%+.2f%%)\n\n",

@@ -77,52 +77,19 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs) {
   return Row;
 }
 
-struct CheckpointOverhead {
-  double PlainMicros = 0.0, DeadlineMicros = 0.0;
-  double pct() const {
-    return PlainMicros > 0.0
-               ? (DeadlineMicros - PlainMicros) / PlainMicros * 100.0
-               : 0.0;
-  }
-};
-
-/// Cancellation-checkpoint overhead of one timing run of \p Owned: batches
-/// of \p Runs plain runs (nullptr Cancellation) and of runs with a
-/// far-future deadline armed alternate, so host jitter hits both alike,
-/// and the fastest batch of each is kept — bench_compile_time's
-/// measureCheckpointOverhead method, with the order within each pair
-/// alternating as well.
-CheckpointOverhead measureCheckpointOverhead(const OwnedKernel &Owned,
-                                             int Runs) {
-  CheckpointOverhead Result;
+/// Checkpoint overhead of one timing run of \p Owned, in batches of
+/// \p Runs runs.
+CheckpointOverhead measureSimCheckpointOverhead(const OwnedKernel &Owned,
+                                                int Runs) {
   if (!Owned.Kernel)
-    return Result;
-  Cancellation Armed(Deadline::afterMillis(1e9));
-  auto Batch = [&](const Cancellation *Cancel) {
+    return CheckpointOverhead();
+  return measureCheckpointOverhead([&](const Cancellation *Cancel) {
     Clock::time_point Start = Clock::now();
     for (int I = 0; I < Runs; ++I)
       if (!Owned.Kernel->runTiming(SimConfig(), Cancel))
         return 0.0;
     return millisSince(Start) * 1000.0 / Runs;
-  };
-  for (int I = 0; I < 4 * (kQuietBestOf + 1); ++I) {
-    // Which side goes first alternates too.
-    double Plain = 0.0, WithDeadline = 0.0;
-    if (I % 2 == 0) {
-      Plain = Batch(nullptr);
-      WithDeadline = Batch(&Armed);
-    } else {
-      WithDeadline = Batch(&Armed);
-      Plain = Batch(nullptr);
-    }
-    if (I == 0 || Plain <= 0.0 || WithDeadline <= 0.0)
-      continue; // Warmup (and bail-outs keep zeros out of the min).
-    if (Result.PlainMicros == 0.0 || Plain < Result.PlainMicros)
-      Result.PlainMicros = Plain;
-    if (Result.DeadlineMicros == 0.0 || WithDeadline < Result.DeadlineMicros)
-      Result.DeadlineMicros = WithDeadline;
-  }
-  return Result;
+  });
 }
 
 } // namespace
@@ -194,11 +161,12 @@ int main() {
   // per-relaxation-step strided polls live) vs the nullptr fast path.
   // Reported, never gated; the percentage is the claim docs/BENCHMARKS.md
   // records.
-  CheckpointOverhead Checkpoint = measureCheckpointOverhead(GemmKernel, Runs);
+  CheckpointOverhead Checkpoint =
+      measureSimCheckpointOverhead(GemmKernel, Runs);
   std::printf("cancellation checkpoints (gemm_4096): %.1f us/run plain, "
               "%.1f us/run with armed deadline (%+.2f%%)\n",
               Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
-              Checkpoint.pct());
+              Checkpoint.overheadPct());
 
   // The mapping_explorer grid, end to end: enumerate + prune + compile +
   // simulate on a cold session (no kernel- or cost-cache reuse), exactly
@@ -263,7 +231,7 @@ int main() {
                  "%.6g, \"deadline_us_per_run\": %.6g, \"overhead_pct\": "
                  "%.2f},\n",
                  KScaling, Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
-                 Checkpoint.pct());
+                 Checkpoint.overheadPct());
     std::fprintf(Out,
                  "  \"sweep\": {\"candidates\": %zu, \"pruned\": %zu, "
                  "\"pipelines_run\": %zu, \"wall_ms\": %.6g, "

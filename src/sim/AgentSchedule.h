@@ -221,7 +221,7 @@ public:
                     const Cancellation *Cancel,
                     ExpansionHook *Hook = nullptr);
 
-  //===--- Lazy expansion ---------------------------------------------------===//
+  //===--- Lazy expansion -------------------------------------------------===//
 
   /// True when \p Agent's queue is empty while a step not yet expanded may
   /// still append to it.
@@ -237,7 +237,7 @@ public:
   /// Top-level loop iterations expanded so far.
   int64_t expandedIterations() const { return ExpandedIterations; }
 
-  //===--- Agent queues -----------------------------------------------------===//
+  //===--- Agent queues ---------------------------------------------------===//
 
   size_t numAgents() const { return NumAgents; }
   /// True when \p Agent has an expanded instance it has not issued.
@@ -279,7 +279,7 @@ public:
   /// finishes.
   void complete(const InstRec &Inst, double Completion);
 
-  //===--- Steady state -----------------------------------------------------===//
+  //===--- Steady state ---------------------------------------------------===//
   //
   // The timing simulator compares the state at successive iteration
   // boundaries of a ring loop and, once it repeats, skips whole periods

@@ -460,7 +460,7 @@ private:
     }
   }
 
-  //===--- Steady state ------------------------------------------------------===//
+  //===--- Steady state ---------------------------------------------------===//
 
   /// Called before each expansion step. At a boundary of a ring loop whose
   /// iterations repeat, records the state relative to the latest start:

@@ -8,9 +8,11 @@
 /// Pins the simulator's observable results against golden values recorded
 /// from the pre-rewrite (ordered-map) implementation, so the dense-table
 /// timing engine of PR 4 — and any future hot-path work — must stay
-/// result-identical while getting faster. Also checks that the tuner's
-/// batched (worker-pool) candidate evaluation produces exactly the
-/// landscape a sequential sweep does.
+/// result-identical while getting faster. Compares the steady-state
+/// extrapolation against timing every iteration on sampled mappings of all
+/// six families. Also checks that the tuner's batched (worker-pool)
+/// candidate evaluation produces exactly the landscape a sequential sweep
+/// does.
 ///
 //===----------------------------------------------------------------------===//
 
