@@ -215,22 +215,6 @@ void BM_CompileGemmFull(benchmark::State &State) {
 }
 BENCHMARK(BM_CompileGemmFull);
 
-/// The same compile without inter-stage verification: the serving
-/// configuration (SessionConfig::VerifyEachPass = false).
-void BM_CompileGemmFullNoVerify(benchmark::State &State) {
-  TaskRegistry Registry;
-  MappingSpec Mapping;
-  std::vector<TensorType> Args;
-  CompileInput Input = gemmInput(Registry, Mapping, Args);
-  PassPipeline Pipeline = PassPipeline::defaultPipeline();
-  Pipeline.setVerifyEachPass(false);
-  for (auto _ : State) {
-    ErrorOr<IRModule> Module = Pipeline.run(Input);
-    benchmark::DoNotOptimize(&Module);
-  }
-}
-BENCHMARK(BM_CompileGemmFullNoVerify);
-
 void BM_DependenceAnalysis(benchmark::State &State) {
   TaskRegistry Registry;
   MappingSpec Mapping;

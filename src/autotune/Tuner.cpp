@@ -7,7 +7,6 @@
 #include "autotune/Tuner.h"
 
 #include "support/FaultInjection.h"
-#include "support/Format.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -33,6 +32,35 @@ const char *cypress::candidateStatusName(CandidateStatus Status) {
   cypressUnreachable("unknown candidate status");
 }
 
+double cypress::tflopsRankKey(double TFlops) {
+  if (!(TFlops > 0))
+    return -std::numeric_limits<double>::infinity();
+  return std::round(std::log(TFlops) * 1e9);
+}
+
+void cypress::rankLandscape(std::vector<CandidateResult> &Landscape) {
+  auto ClassOf = [](const CandidateResult &Row) {
+    switch (Row.Status) {
+    case CandidateStatus::Evaluated:
+      return 0;
+    case CandidateStatus::CompileError:
+    case CandidateStatus::SimError:
+      return 1;
+    case CandidateStatus::Pruned:
+      return 2;
+    }
+    cypressUnreachable("unknown candidate status");
+  };
+  std::stable_sort(Landscape.begin(), Landscape.end(),
+                   [&](const CandidateResult &A, const CandidateResult &B) {
+                     int CA = ClassOf(A), CB = ClassOf(B);
+                     if (CA != CB)
+                       return CA < CB;
+                     return CA == 0 &&
+                            tflopsRankKey(A.TFlops) > tflopsRankKey(B.TFlops);
+                   });
+}
+
 Tuner::Tuner() : OwnedSession(std::make_unique<CompilerSession>()) {
   Session = OwnedSession.get();
 }
@@ -44,17 +72,6 @@ namespace {
 /// Spaces at most this big fall back from tuneBudgeted to an exhaustive
 /// sweep when the budget covers them.
 constexpr size_t SmallSpaceThreshold = 256;
-
-/// The simulator parameters participate in evaluation identity: the same
-/// kernel timed under a different machine calibration is a different cost.
-std::string simFingerprint(const SimConfig &Sim) {
-  return formatString(
-      "|sim{%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g}",
-      Sim.ClockGHz, Sim.TensorCoreFlopsPerCycle, Sim.TmaBytesPerCycle,
-      Sim.SimtGlobalBytesPerCycle, Sim.SimtLocalBytesPerCycle,
-      Sim.SimtFlopsPerCycle, Sim.GlobalLatency, Sim.TensorCoreLatency,
-      Sim.SimtLatency);
-}
 
 /// Content seed for the guided search's PRNG: the kernel name and the axis
 /// grid. Pure function of the spec, so repeat runs (and runs in different
@@ -78,32 +95,6 @@ uint64_t specSeed(const KernelSearchSpec &Spec) {
     }
   }
   return H;
-}
-
-/// Evaluated candidates by TFLOP/s descending, then errors, then pruned;
-/// stable within ties and groups so the reported best is deterministic and
-/// matches what a hand-written nested sweep taking the first strict
-/// maximum would pick.
-void rankLandscape(std::vector<CandidateResult> &Landscape) {
-  auto ClassOf = [](const CandidateResult &Row) {
-    switch (Row.Status) {
-    case CandidateStatus::Evaluated:
-      return 0;
-    case CandidateStatus::CompileError:
-    case CandidateStatus::SimError:
-      return 1;
-    case CandidateStatus::Pruned:
-      return 2;
-    }
-    cypressUnreachable("unknown candidate status");
-  };
-  std::stable_sort(Landscape.begin(), Landscape.end(),
-                   [&](const CandidateResult &A, const CandidateResult &B) {
-                     int CA = ClassOf(A), CB = ClassOf(B);
-                     if (CA != CB)
-                       return CA < CB;
-                     return CA == 0 && A.TFlops > B.TFlops;
-                   });
 }
 
 } // namespace
@@ -286,7 +277,9 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
 
   MappingSpace Space(Spec, Machine);
   TaskRegistry &Registry = registryFor(Spec);
-  const std::string SimKey = simFingerprint(Sim);
+  // The same kernel timed under another simulator calibration is a
+  // different cost.
+  const std::string SimKey = '|' + Sim.fingerprint();
 
   TuneResult Result;
   Result.Stats.Candidates = Space.size();
@@ -405,7 +398,8 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
         Elites.push_back(&Row);
     std::stable_sort(Elites.begin(), Elites.end(),
                      [](const CandidateResult *A, const CandidateResult *B) {
-                       return A->TFlops > B->TFlops;
+                       return tflopsRankKey(A->TFlops) >
+                              tflopsRankKey(B->TFlops);
                      });
     if (Elites.size() > 4)
       Elites.resize(4);

@@ -81,6 +81,22 @@ struct CandidateResult {
   std::shared_ptr<const CompiledKernel> Kernel;
 };
 
+/// The key the tuner ranks evaluated candidates by: TFLOP/s quantized so
+/// that values equal to ~1e-9 relative share a key. Ulp-level noise of the
+/// timer (extrapolation rounds differently from full timing) then never
+/// reorders tied mappings; ties keep evaluation order. Quantizing, rather
+/// than comparing within a tolerance, keeps the order a strict weak one;
+/// two rates a few ulps apart still straddle a quantum boundary with odds
+/// of about their distance over 1e-9 relative. Non-positive and NaN rates
+/// rank below every other.
+double tflopsRankKey(double TFlops);
+
+/// Orders a landscape as TuneResult::Landscape is: evaluated candidates by
+/// tflopsRankKey descending, then errors, then pruned; stable within ties
+/// and groups, so the best is the first strict maximum of the key in
+/// evaluation order.
+void rankLandscape(std::vector<CandidateResult> &Landscape);
+
 /// Search-effort accounting for one tuneBudgeted() call.
 /// PipelinesRun is the number the acceptance bar cares about: full
 /// pass-pipeline executions, i.e. evaluations minus every flavor of cache

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <string_view>
 #include <thread>
 
 using namespace cypress;
@@ -120,14 +119,6 @@ ErrorOr<IRModule> PassPipeline::run(const CompileInput &Input,
         Diag.setPass(P->name());
         return Diag;
       }
-      if (std::string_view(P->name()) == "resource-allocation" &&
-          faultFires(FaultSite::AllocFail, P->name())) {
-        Finish();
-        Diagnostic Diag(Diagnostic::Code::Internal,
-                        "injected shared-memory allocation failure");
-        Diag.setPass(P->name());
-        return Diag;
-      }
     }
 
     PassStat Stat;
@@ -177,7 +168,7 @@ ErrorOr<IRModule> PassPipeline::run(const CompileInput &Input,
          << printModule(State.Module) << '\n';
     }
 
-    if (VerifyEachPass && P->verifyAfter() && !Replayed) {
+    if (P->verifyAfter() && !Replayed) {
       Clock::time_point VerifyStart = Clock::now();
       ErrorOrVoid Verified = verifyModule(State.Module);
       Stat.VerifyMicros = microsSince(VerifyStart);

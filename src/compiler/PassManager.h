@@ -186,11 +186,6 @@ public:
   size_t size() const { return Passes.size(); }
   const Pass &pass(size_t I) const { return *Passes[I]; }
 
-  /// Run verifyModule after every pass (on by default; turn off for
-  /// release/serving builds where throughput matters).
-  void setVerifyEachPass(bool Enable) { VerifyEachPass = Enable; }
-  bool verifyEachPass() const { return VerifyEachPass; }
-
   /// Record each pass's heap-allocation count into PassStat::HeapAllocs
   /// (see support/AllocCounter.h). Off by default: counting enables a
   /// global allocator hook for the duration of run(), which perturbs other
@@ -250,7 +245,6 @@ private:
                                 PipelineState &State);
 
   std::vector<std::unique_ptr<Pass>> Passes;
-  bool VerifyEachPass = true;
   bool CountAllocs = false;
   bool PrintIRAfterAll = false;
   /// Leading passes a PrefixMemo may replay: they read no mapping knob

@@ -123,8 +123,21 @@ public:
     Uid = nextUid();
     return *this;
   }
-  TaskRegistry(TaskRegistry &&) = default;
-  TaskRegistry &operator=(TaskRegistry &&) = default;
+  /// Moves carry the uid over with the variants and give the emptied
+  /// source a fresh one, so refilling it never aliases kernels compiled
+  /// for the destination.
+  TaskRegistry(TaskRegistry &&Other) noexcept
+      : Variants(std::move(Other.Variants)), Uid(Other.Uid) {
+    Other.Variants.clear();
+    Other.Uid = nextUid();
+  }
+  TaskRegistry &operator=(TaskRegistry &&Other) noexcept {
+    Variants = std::move(Other.Variants);
+    Uid = Other.Uid;
+    Other.Variants.clear();
+    Other.Uid = nextUid();
+    return *this;
+  }
 
   /// Registers an inner variant; asserts the variant name is fresh.
   void addInner(std::string Task, std::string Variant,
@@ -142,16 +155,11 @@ public:
   /// All variants implementing \p Task.
   std::vector<std::string> variantsOf(const std::string &Task) const;
 
-  /// Every registered variant, keyed by variant name. Used by the session
-  /// cache to fingerprint a registry's structure.
-  const std::map<std::string, TaskVariant> &variants() const {
-    return Variants;
-  }
-
   /// Process-unique registry identity (assigned at construction, never
-  /// recycled). Inner bodies are opaque std::functions whose content
-  /// cannot be fingerprinted, so the session cache keys on this instead of
-  /// the object address, which the allocator may reuse.
+  /// recycled, carried by moves). It is the whole of the registry's part
+  /// in the session cache key: inner bodies are opaque std::functions
+  /// whose content cannot be fingerprinted, variants are never replaced
+  /// once added, and an address could be reused by the allocator.
   uint64_t uid() const { return Uid; }
 
 private:

@@ -19,9 +19,7 @@
 using namespace cypress;
 
 CompilerSession::CompilerSession(SessionConfig Config)
-    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {
-  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
-}
+    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {}
 
 CompilerSession::~CompilerSession() {
   Accepting.store(false);
@@ -209,30 +207,6 @@ void appendTensorType(std::ostringstream &OS, const TensorType &Type) {
   OS << ']';
 }
 
-void appendRegistry(std::ostringstream &OS, const TaskRegistry &Registry) {
-  // Inner bodies are opaque std::functions, so their content cannot be
-  // fingerprinted; the registry's never-recycled uid stands in for it
-  // (an address would suffer ABA when the allocator reuses storage for a
-  // registry with identical structure but different bodies). Structure
-  // (names, signatures, leaf bindings) is still serialized so the key
-  // stays readable.
-  OS << "registry#" << Registry.uid() << '{';
-  for (const auto &[Name, Variant] : Registry.variants()) {
-    OS << Variant.Task << '/' << Name << ':'
-       << (Variant.Kind == VariantKind::Leaf ? 'L' : 'I') << '(';
-    for (const TaskParam &Param : Variant.Params)
-      OS << Param.Name << ',' << Param.Rank << ','
-         << elementTypeName(Param.Element) << ','
-         << privilegeName(Param.Priv) << ';';
-    OS << ')';
-    if (Variant.Kind == VariantKind::Leaf)
-      OS << Variant.Leaf.Function << '#'
-         << execUnitName(Variant.Leaf.Unit);
-    OS << ' ';
-  }
-  OS << '}';
-}
-
 void appendMachine(std::ostringstream &OS, const MachineModel &Machine) {
   // Fully content-keyed (unlike the registry there are no opaque parts),
   // so stack-allocated machine variants from autotuning sweeps can never
@@ -250,8 +224,10 @@ void appendMachine(std::ostringstream &OS, const MachineModel &Machine) {
 
 std::string inputKey(const CompileInput &Input, const std::string &Mapping) {
   std::ostringstream OS;
-  appendRegistry(OS, *Input.Registry);
-  OS << '|' << Mapping << '|';
+  // Inner bodies are opaque callables, so the registry's never-recycled
+  // uid stands for its content (an address could be reused by a registry
+  // with the same structure but different bodies).
+  OS << "registry#" << Input.Registry->uid() << '|' << Mapping << '|';
   appendMachine(OS, *Input.Machine);
   OS << "|args{";
   for (const TensorType &Type : Input.EntryArgTypes) {

@@ -55,9 +55,6 @@ namespace cypress {
 struct SessionConfig {
   /// Worker threads used by compileAll; 0 = min(hardware_concurrency, 4).
   unsigned Workers = 0;
-  /// Run the IR verifier between pipeline stages (see PassPipeline). On by
-  /// default; serving deployments can turn it off for compile throughput.
-  bool VerifyEachPass = true;
   /// Admission bound: the maximum number of requests (summed across
   /// concurrent compile and compileAll callers) in flight at once. Requests
   /// beyond the bound are shed immediately with a Code::Overloaded
@@ -183,10 +180,10 @@ public:
   /// False once shutdown() has begun; new requests are being shed.
   bool acceptingRequests() const { return Accepting.load(); }
 
-  /// The cache key for \p Input: the registry's structural fingerprint and
-  /// identity (inner task bodies are opaque callables, so object identity
-  /// stands in for body content), the full mapping, the machine, and the
-  /// entry argument types. Exposed for tests and cache introspection.
+  /// The cache key for \p Input: `registry#<uid>` (TaskRegistry::uid(); inner
+  /// task bodies are opaque callables, so the registry's identity stands
+  /// for its content), the full mapping, the machine, and the entry
+  /// argument types. Exposed for tests and cache introspection.
   static std::string cacheKey(const CompileInput &Input);
 
   /// cacheKey with MappingSpec::structureFingerprint in place of the full
@@ -198,9 +195,9 @@ public:
   /// Hits, misses, and resident-kernel count in one locked snapshot.
   CacheStats cacheStats() const;
   /// True if a compile of \p Input would be served from the cache right
-  /// now. Does not count as a hit or miss. Lets callers (the autotuner)
-  /// attribute cache effectiveness to their own requests instead of
-  /// diffing the global counters, which other threads may be advancing.
+  /// now. Does not count as a hit or miss, so tests and diagnostics can
+  /// probe the cache without disturbing its counters. (Batched callers
+  /// get exact per-request attribution from compileAll's HitsOut.)
   bool isCached(const CompileInput &Input) const;
   void clearCache();
 

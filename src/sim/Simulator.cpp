@@ -83,6 +83,16 @@ struct SmemAccess {
   OpId Op = ~0u;
   int64_t Wg = -1;
   size_t IterHash = 0;
+  uint64_t Seq = 0; ///< Position in the block's access order.
+};
+
+/// A hazard between two accesses, \p First issued before \p Second.
+struct RacePair {
+  SmemAccess First, Second;
+  bool operator<(const RacePair &O) const {
+    return First.Seq != O.First.Seq ? First.Seq < O.First.Seq
+                                    : Second.Seq < O.Second.Seq;
+  }
 };
 
 /// Cached readiness of an agent's next instance. Exact because completion
@@ -122,7 +132,6 @@ struct TimerScratch {
   /// Instance I's ranges start at SmemPres[SmemBegin[I]] and end where the
   /// next instance's start (or the arena ends).
   std::vector<uint32_t> SmemBegin;
-  std::vector<SmemAccess> Accesses; ///< Full trace, when timing every step.
   /// Accesses in flight, for the race sweep.
   std::vector<SmemAccess> ActiveReads, ActiveWrites;
   // Scheduler scratch.
@@ -153,7 +162,7 @@ TimerScratch &timerScratch() {
 /// tail and the epilogue. docs/ARCHITECTURE.md argues why the skipped
 /// periods hold no race the simulated ones do not show. A race seen by an
 /// extrapolating run stops it: the caller reruns without extrapolation,
-/// which keeps the full access trace and lists the hazards.
+/// which times every iteration and lists the hazards.
 class BlockTimer final : public AgentSchedule::ExpansionHook {
 public:
   BlockTimer(const IRModule &Module, const SharedAllocation &Alloc,
@@ -165,9 +174,6 @@ public:
       SchedCheck = CancelCheck(*Cancel);
   }
 
-  /// True when this extrapolating run stopped at a race.
-  bool needsFullTrace() const { return Extrapolate && RaceSeen; }
-
   ErrorOr<SimResult> run() {
     ScalarEnv BlockEnv;
     BlockEnv.ProcIndices[Processor::Block] = 0;
@@ -176,7 +182,6 @@ public:
     BlockEnv.ProcIndices[Processor::Thread] = 0;
     clearPooled(S.SmemPres);
     clearPooled(S.SmemBegin);
-    clearPooled(S.Accesses);
     clearPooled(S.ActiveReads);
     clearPooled(S.ActiveWrites);
     clearPooled(S.Boundaries);
@@ -188,8 +193,6 @@ public:
     schedule();
     if (Failure)
       return *Failure;
-    if (RaceSeen && !Extrapolate)
-      describeRaces();
 
     SimResult Result;
     Result.BlockCycles = Finish;
@@ -198,7 +201,16 @@ public:
     Result.TensorCoreBusyCycles = TcBusy;
     Result.SimulatedIterations = M.expandedIterations();
     Result.ExtrapolatedIterations = Skipped;
-    Result.Races = std::move(Races);
+    for (const RacePair &Race : Races) {
+      const SmemAccess &A = Race.First, &B = Race.Second;
+      Result.Races.push_back(formatString(
+          "shared-memory hazard between %s and %s (aliased bytes "
+          "[%lld, %lld) overlap in time)",
+          Module.tensor(A.Tensor).Name.c_str(),
+          Module.tensor(B.Tensor).Name.c_str(),
+          static_cast<long long>(std::max(A.Lo, B.Lo)),
+          static_cast<long long>(std::min(A.Hi, B.Hi))));
+    }
     return Result;
   }
 
@@ -389,7 +401,7 @@ private:
       M.pop(BestAgent);
       ++S.Issued[BestAgent];
       S.Heads[BestAgent] = AgentHead();
-      if (RaceSeen && Extrapolate)
+      if (Extrapolate && !Races.empty())
         return; // Rerun without extrapolation to list the hazards.
     }
     for (size_t Agent = 0; Agent < NumAgents; ++Agent)
@@ -451,12 +463,9 @@ private:
       const SmemPre &Pre = S.SmemPres[I];
       SmemAccess Access{Pre.Tensor, Pre.Lo,    Pre.Hi, Start,
                         Completion, Pre.Write, Pre.Op, Pre.Wg,
-                        Pre.IterHash};
+                        Pre.IterHash, NumAccesses++};
       MaxSpan = std::max(MaxSpan, Completion - Start);
-      if (!RaceSeen)
-        RaceSeen = sweep(Access);
-      if (!Extrapolate)
-        S.Accesses.push_back(Access);
+      sweep(Access);
     }
   }
 
@@ -642,54 +651,40 @@ private:
   }
 
   /// Drops the accesses in \p Active that ended by \p B's start (they
-  /// cannot overlap any later access either) and checks the rest against
-  /// \p B.
-  static bool sweepActive(std::vector<SmemAccess> &Active,
-                          const SmemAccess &B) {
+  /// cannot overlap any later access either) and records the hazards
+  /// the rest form with \p B.
+  void sweepActive(std::vector<SmemAccess> &Active, const SmemAccess &B) {
     size_t Keep = 0;
     for (const SmemAccess &A : Active) {
       if (A.End <= B.Start)
         continue;
       if (isRacePair(A, B))
-        return true;
+        noteRace({A, B});
       Active[Keep++] = A;
     }
     Active.resize(Keep);
-    return false;
+  }
+
+  /// Keeps the MaxRaces first hazards in (first access, second access)
+  /// order. The sweep finds them ordered by their second access, and an
+  /// access that stays in flight long may still form an earlier one.
+  void noteRace(const RacePair &Race) {
+    if (Races.size() == MaxRaces && !(Race < Races.back()))
+      return;
+    Races.insert(std::upper_bound(Races.begin(), Races.end(), Race), Race);
+    if (Races.size() > MaxRaces)
+      Races.pop_back();
   }
 
   /// Interval sweep, fed in issue (= start) order: an access only needs
   /// checking against the accesses still in flight when it starts, and a
   /// read only against in-flight writes, so the all-clear case (every
-  /// healthy kernel) is near-linear. True on the first hazard.
-  bool sweep(const SmemAccess &B) {
-    if (sweepActive(S.ActiveWrites, B) ||
-        (B.Write && sweepActive(S.ActiveReads, B)))
-      return true;
+  /// healthy kernel) is near-linear.
+  void sweep(const SmemAccess &B) {
+    sweepActive(S.ActiveWrites, B);
+    if (B.Write)
+      sweepActive(S.ActiveReads, B);
     (B.Write ? S.ActiveWrites : S.ActiveReads).push_back(B);
-    return false;
-  }
-
-  /// The exact pairwise scan over the full trace, run only once the sweep
-  /// found a hazard, so diagnostics keep their historical order and cap.
-  void describeRaces() {
-    for (size_t I = 0; I < S.Accesses.size(); ++I) {
-      for (size_t J = I + 1; J < S.Accesses.size(); ++J) {
-        const SmemAccess &A = S.Accesses[I];
-        const SmemAccess &B = S.Accesses[J];
-        if (!isRacePair(A, B))
-          continue;
-        Races.push_back(formatString(
-            "shared-memory hazard between %s and %s (aliased bytes "
-            "[%lld, %lld) overlap in time)",
-            Module.tensor(A.Tensor).Name.c_str(),
-            Module.tensor(B.Tensor).Name.c_str(),
-            static_cast<long long>(std::max(A.Lo, B.Lo)),
-            static_cast<long long>(std::min(A.Hi, B.Hi))));
-        if (Races.size() > 8)
-          return; // Enough evidence.
-      }
-    }
   }
 
   void fail(std::string Message) {
@@ -715,8 +710,11 @@ private:
   CancelCheck SchedCheck; ///< The scheduling loop's poll.
   const bool Extrapolate;
 
-  std::vector<std::string> Races;
-  bool RaceSeen = false;
+  /// Hazards listed per block: enough evidence.
+  static constexpr size_t MaxRaces = 9;
+
+  std::vector<RacePair> Races; ///< Sorted; at most MaxRaces.
+  uint64_t NumAccesses = 0;
 
   double TmaFree = 0, TcFree = 0;
   double TmaBusy = 0, TcBusy = 0;
@@ -1013,10 +1011,12 @@ ErrorOr<SimResult> timeGrids(const IRModule &Module,
     Env.ProcIndices[Processor::Block] = 0;
     int64_t Blocks = Op->LoopHi.evaluate(Env) - Op->LoopLo.evaluate(Env);
 
-    BlockTimer Timer(Module, Alloc, Config, *Op, timerScratch(), Cancel,
-                     Extrapolate);
-    ErrorOr<SimResult> BlockResult = Timer.run();
-    if (BlockResult && Timer.needsFullTrace())
+    ErrorOr<SimResult> BlockResult = BlockTimer(Module, Alloc, Config, *Op,
+                                                timerScratch(), Cancel,
+                                                Extrapolate)
+                                         .run();
+    // An extrapolating run stops at its first race.
+    if (BlockResult && Extrapolate && !BlockResult->Races.empty())
       BlockResult = BlockTimer(Module, Alloc, Config, *Op, timerScratch(),
                                Cancel, /*Extrapolate=*/false)
                         .run();
@@ -1059,6 +1059,16 @@ ErrorOr<SimResult> timeGrids(const IRModule &Module,
 }
 
 } // namespace
+
+std::string SimConfig::fingerprint() const {
+  return formatString("sim{%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
+                      "%.17g,%.17g,%.17g,%lld,%.17g}",
+                      ClockGHz, TensorCoreFlopsPerCycle, TmaBytesPerCycle,
+                      SimtGlobalBytesPerCycle, SimtLocalBytesPerCycle,
+                      SimtFlopsPerCycle, GlobalLatency, TensorCoreLatency,
+                      SimtLatency, BarrierLatency, DramBytesPerSec,
+                      static_cast<long long>(NumSMs), BlockOverhead);
+}
 
 ErrorOr<SimResult> cypress::simulate(const IRModule &Module,
                                      const SharedAllocation &Alloc,

@@ -87,7 +87,14 @@ struct SimConfig {
   int64_t NumSMs = 132;
   /// Per-block kernel launch/drain overhead (cycles).
   double BlockOverhead = 1500.0;
+
+  /// Every field, printed exactly: configs with equal fingerprints time
+  /// every kernel identically (the tuner's cost-cache key).
+  std::string fingerprint() const;
 };
+// A new field must join fingerprint() too.
+static_assert(sizeof(SimConfig) == 13 * sizeof(double),
+              "SimConfig changed: update SimConfig::fingerprint()");
 
 /// Outcome of one simulated kernel execution.
 struct SimResult {

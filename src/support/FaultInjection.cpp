@@ -18,8 +18,6 @@ using namespace cypress;
 
 const char *cypress::faultSiteName(FaultSite Site) {
   switch (Site) {
-  case FaultSite::AllocFail:
-    return "alloc-fail";
   case FaultSite::FailPass:
     return "fail-pass";
   case FaultSite::SlowPass:
@@ -53,8 +51,8 @@ std::string_view trim(std::string_view S) {
 
 bool siteByName(std::string_view Name, FaultSite &Out) {
   for (FaultSite Site :
-       {FaultSite::AllocFail, FaultSite::FailPass, FaultSite::SlowPass,
-        FaultSite::WorkerThrow, FaultSite::CostCorrupt})
+        {FaultSite::FailPass, FaultSite::SlowPass, FaultSite::WorkerThrow,
+        FaultSite::CostCorrupt})
     if (Name == faultSiteName(Site)) {
       Out = Site;
       return true;
@@ -134,7 +132,7 @@ ErrorOrVoid FaultPlan::configure(const std::string &Spec) {
     if (!siteByName(Raw.substr(0, NameEnd), C.Site))
       return Diagnostic(formatString(
           "bad fault spec clause '%s': unknown site (expected one of "
-          "alloc-fail, fail-pass, slow-pass, worker-throw, cost-corrupt)",
+          "fail-pass, slow-pass, worker-throw, cost-corrupt)",
           std::string(Raw).c_str()));
     std::string_view Tail =
         NameEnd == std::string_view::npos ? std::string_view()

@@ -13,7 +13,6 @@
 /// relaxed atomic load — the injector is zero-overhead in real serving.
 ///
 /// Sites:
-///   alloc-fail    shared-memory allocation fails (resource-allocation)
 ///   fail-pass     a named pipeline pass returns an internal error
 ///   slow-pass     a named pipeline pass is delayed by N microseconds
 ///   worker-throw  a session compile worker throws (containment test)
@@ -54,15 +53,15 @@
 
 namespace cypress {
 
+/// The values seed '~p' decisions (see decisionUnit), so they stay fixed.
 enum class FaultSite : uint8_t {
-  AllocFail,
-  FailPass,
+  FailPass = 1,
   SlowPass,
   WorkerThrow,
   CostCorrupt,
 };
 
-/// The spec-grammar name of \p Site ("alloc-fail", "fail-pass", ...).
+/// The spec-grammar name of \p Site ("fail-pass", "slow-pass", ...).
 const char *faultSiteName(FaultSite Site);
 
 /// The installed set of fault clauses. One process-wide instance; tests

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <unordered_set>
 
 using namespace cypress;
@@ -218,7 +219,7 @@ TEST(Tuner, PrunedCandidatesNeverReachThePipeline) {
 
 TEST(Tuner, RankedLandscapeMatchesBruteForceExhaustiveSweep) {
   // The pre-refactor sweep: nested loops, the inline band check, a cold
-  // compile per candidate, first strict maximum wins.
+  // compile per candidate, first strict maximum of the rank key wins.
   GemmConfig Base = smallGemm();
   SimConfig Sim;
   double BestTFlops = -1.0;
@@ -247,7 +248,7 @@ TEST(Tuner, RankedLandscapeMatchesBruteForceExhaustiveSweep) {
             continue;
           ErrorOr<SimResult> Timing = (*Kernel)->runTiming(Sim);
           ASSERT_TRUE(Timing);
-          if (Timing->TFlops > BestTFlops) {
+          if (tflopsRankKey(Timing->TFlops) > tflopsRankKey(BestTFlops)) {
             BestTFlops = Timing->TFlops;
             BestName = "U=" + std::to_string(U) + " V=" + std::to_string(V) +
                        " PIPE=" + std::to_string(Pipe) +
@@ -307,8 +308,9 @@ TEST(Tuner, CostCacheReplaysRepeatedSweepsWithoutCompiling) {
 TEST(Tuner, DifferentSimConfigsDoNotShareCostEntries) {
   CompilerSession Session;
   Tuner Tuner(Session);
+  // SIMT-pinned A tiles, so the SIMT global bandwidth counts too.
   KernelSearchSpec Spec =
-      gemmSearchSpec(smallGemm(), {{"PIPE", {2}}});
+      gemmSearchSpec(smallGemm(), {{"PIPE", {2}}, {"TMA_A", {0}}});
 
   SimConfig Fast;
   TuneResult First =
@@ -325,6 +327,79 @@ TEST(Tuner, DifferentSimConfigsDoNotShareCostEntries) {
   ASSERT_NE(First.best(), nullptr);
   ASSERT_NE(Second.best(), nullptr);
   EXPECT_GT(First.best()->TFlops, Second.best()->TFlops);
+
+  // Every field is part of the calibration: perturbing any one of them
+  // alone must miss the warm cost cache and report what a fresh tuner
+  // times.
+  const std::vector<std::pair<const char *, void (*)(SimConfig &)>> Fields =
+      {{"ClockGHz", [](SimConfig &C) { C.ClockGHz *= 0.5; }},
+       {"TensorCoreFlopsPerCycle",
+        [](SimConfig &C) { C.TensorCoreFlopsPerCycle *= 0.25; }},
+       {"TmaBytesPerCycle", [](SimConfig &C) { C.TmaBytesPerCycle *= 0.5; }},
+       {"SimtGlobalBytesPerCycle",
+        [](SimConfig &C) { C.SimtGlobalBytesPerCycle *= 0.01; }},
+       {"SimtLocalBytesPerCycle",
+        [](SimConfig &C) { C.SimtLocalBytesPerCycle *= 0.01; }},
+       {"SimtFlopsPerCycle",
+        [](SimConfig &C) { C.SimtFlopsPerCycle *= 0.5; }},
+       {"GlobalLatency", [](SimConfig &C) { C.GlobalLatency *= 2.0; }},
+       {"TensorCoreLatency",
+        [](SimConfig &C) { C.TensorCoreLatency *= 2.0; }},
+       {"SimtLatency", [](SimConfig &C) { C.SimtLatency *= 2.0; }},
+       {"BarrierLatency", [](SimConfig &C) { C.BarrierLatency = 300.0; }},
+       {"DramBytesPerSec", [](SimConfig &C) { C.DramBytesPerSec *= 0.01; }},
+       {"NumSMs", [](SimConfig &C) { C.NumSMs = 4; }},
+       {"BlockOverhead", [](SimConfig &C) { C.BlockOverhead *= 100.0; }}};
+  ASSERT_EQ(Fields.size() * sizeof(double), sizeof(SimConfig));
+  for (const auto &[Name, Perturb] : Fields) {
+    SCOPED_TRACE(Name);
+    SimConfig Sim;
+    Perturb(Sim);
+    TuneResult Warm =
+        Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Sim);
+    class Tuner Fresh(Session);
+    TuneResult Cold =
+        Fresh.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Sim);
+    EXPECT_EQ(Warm.Stats.CostCacheHits, 0u);
+    ASSERT_NE(Warm.best(), nullptr);
+    ASSERT_NE(Cold.best(), nullptr);
+    EXPECT_EQ(Warm.best()->TFlops, Cold.best()->TFlops);
+  }
+}
+
+TEST(Tuner, RankingTiesTFlopsAFewUlpsApartInEvaluationOrder) {
+  // Extrapolated and fully timed runs of one mapping may differ in the
+  // last bits; such rows tie, and the earlier evaluation ranks first.
+  auto Row = [](const char *Name, double TFlops, CandidateStatus Status) {
+    CandidateResult R;
+    R.Point = TuningPoint({{Name, 0}});
+    R.Status = Status;
+    R.TFlops = TFlops;
+    return R;
+  };
+  const double Base = 901.4;
+  double Up = Base;
+  for (int I = 0; I < 4; ++I)
+    Up = std::nextafter(Up, 2 * Base);
+  std::vector<CandidateResult> Landscape = {
+      Row("error", 0.0, CandidateStatus::CompileError),
+      Row("first", Base, CandidateStatus::Evaluated),
+      Row("pruned", 0.0, CandidateStatus::Pruned),
+      Row("second", Up, CandidateStatus::Evaluated),
+      Row("slower", Base * (1 - 1e-6), CandidateStatus::Evaluated),
+      Row("third", std::nextafter(Base, 0.0), CandidateStatus::Evaluated),
+      Row("faster", Base * (1 + 1e-6), CandidateStatus::Evaluated)};
+  rankLandscape(Landscape);
+  std::vector<std::string> Order;
+  for (const CandidateResult &R : Landscape)
+    Order.push_back(R.Point.values()[0].first);
+  EXPECT_EQ(Order,
+            (std::vector<std::string>{"faster", "first", "second", "third",
+                                      "slower", "error", "pruned"}));
+
+  EXPECT_LT(tflopsRankKey(Base), tflopsRankKey(Base * (1 + 1e-8)));
+  EXPECT_LT(tflopsRankKey(std::nan("")), tflopsRankKey(1e-9));
+  EXPECT_EQ(tflopsRankKey(0.0), tflopsRankKey(-1.0));
 }
 
 TEST(Tuner, OverlappingSweepsShareTheSessionKernelCache) {

@@ -115,15 +115,6 @@ TEST(PassManager, VerifierCatchesInjectedMalformedModule) {
   EXPECT_EQ(Stats.Passes.size(), 2u);
 }
 
-TEST(PassManager, VerificationCanBeDisabled) {
-  GemmInput Gemm;
-  PassPipeline Pipeline;
-  Pipeline.addPass(createDependenceAnalysisPass());
-  Pipeline.addPass(makeCorruptingPass());
-  Pipeline.setVerifyEachPass(false);
-  EXPECT_TRUE(Pipeline.run(Gemm.input()));
-}
-
 TEST(PassManager, DiagnosticsCarryPassProvenance) {
   GemmInput Gemm;
   CompileInput Input = Gemm.input();

@@ -459,6 +459,66 @@ TEST(Session, CacheStatsSnapshotsHitsMissesAndEntries) {
   EXPECT_EQ(Cleared.Misses, 2u);
 }
 
+TEST(Session, KeyNamesTheRegistryByItsUidAlone) {
+  SessionGemm Gemm(512);
+  std::string Prefix = "registry#" + std::to_string(Gemm.Registry.uid()) +
+                       '|' + Gemm.Mapping.fingerprint() + '|';
+  std::string Key = CompilerSession::cacheKey(Gemm.input());
+  EXPECT_EQ(Key.compare(0, Prefix.size(), Prefix), 0) << Key;
+}
+
+TEST(Session, IdenticallyFilledRegistriesNeverShareAKernel) {
+  // Inner bodies are opaque, so equal structure proves nothing: each
+  // registry is its own program.
+  SessionGemm First(512), Second(512);
+  CompilerSession Session;
+
+  auto FromFirst = Session.compile(First.input(), "gemm");
+  auto FromSecond = Session.compile(Second.input(), "gemm");
+  auto Again = Session.compile(First.input(), "gemm");
+  ASSERT_TRUE(FromFirst);
+  ASSERT_TRUE(FromSecond);
+  ASSERT_TRUE(Again);
+  EXPECT_NE(FromFirst->get(), FromSecond->get());
+  EXPECT_EQ(FromFirst->get(), Again->get());
+  EXPECT_EQ(Session.stats().Hits, 1u);
+  EXPECT_EQ(Session.stats().Misses, 2u);
+}
+
+TEST(Session, RefilledMovedFromRegistryNeverHitsTheMovedToKernels) {
+  SessionGemm Gemm(512);
+  CompilerSession Session;
+  CompileInput Input = Gemm.input();
+  auto CompileWith = [&](const TaskRegistry &Registry) {
+    Input.Registry = &Registry;
+    auto Kernel = Session.compile(Input, "gemm");
+    EXPECT_TRUE(Kernel);
+    return Kernel ? Kernel->get() : nullptr;
+  };
+
+  TaskRegistry Source;
+  registerGemmTasks(Source);
+  const CompiledKernel *Original = CompileWith(Source);
+
+  // The moved-to registry holds the same bodies and keeps the kernels.
+  TaskRegistry Constructed(std::move(Source));
+  EXPECT_EQ(CompileWith(Constructed), Original);
+  TaskRegistry Assigned;
+  Assigned = std::move(Constructed);
+  EXPECT_EQ(CompileWith(Assigned), Original);
+
+  // Refilled moved-from registries are new programs.
+  registerGemmTasks(Source);
+  registerGemmTasks(Constructed);
+  const CompiledKernel *FromSource = CompileWith(Source);
+  const CompiledKernel *FromConstructed = CompileWith(Constructed);
+  EXPECT_NE(FromSource, Original);
+  EXPECT_NE(FromConstructed, Original);
+  EXPECT_NE(FromSource, FromConstructed);
+  EXPECT_EQ(Session.stats().Hits, 2u);
+  EXPECT_EQ(Session.stats().Misses, 3u);
+}
+
 TEST(Session, CompileErrorsAreReportedNotCached) {
   SessionGemm Gemm(512);
   CompilerSession Session;
