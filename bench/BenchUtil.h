@@ -21,10 +21,9 @@
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdint>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,14 +34,32 @@
 
 namespace cypress::bench {
 
-/// The gated benches (bench_compile_time, bench_sim_hotpath) share one
-/// quiet-window methodology: one warmup pass that pays first-touch page
-/// faults and pool growth, then the best of this many measured repeats.
-/// Best-of-N against a common N is what makes the committed baselines
-/// comparable across benches and across refreshes — the PR4-era baselines
-/// disagreed with the claimed numbers precisely because each bench picked
-/// its own repeat policy under different host load.
+/// The timed benches (bench_compile_time, bench_sim_hotpath) share one
+/// quiet-window methodology, quietRounds: one warmup pass that pays
+/// first-touch page faults and pool growth, then the best of at least this
+/// many measured repeats, taken across at least kQuietWindowMillis.
+/// scripts/ab_bench.py then takes the median over paired runs.
 constexpr int kQuietBestOf = 5;
+
+/// A shared host runs slow (up to ~2.5x) for stretches of tens of ms at a
+/// time; the window is long enough that such a stretch cannot claim every
+/// repeat of an item.
+constexpr int kQuietWindowMillis = 250;
+
+/// Runs \p Round (a callable taking `bool Measured`) once as a warmup, then
+/// measured until it has run kQuietBestOf times and kQuietWindowMillis have
+/// passed. The caller keeps each item's fastest measured repeat; a round
+/// that times every item once spreads each item's repeats over the window.
+template <typename RoundFn> void quietRounds(RoundFn Round) {
+  using Clock = std::chrono::steady_clock;
+  Round(false);
+  Clock::time_point Start = Clock::now();
+  for (int I = 0; I < kQuietBestOf ||
+                  Clock::now() - Start <
+                      std::chrono::milliseconds(kQuietWindowMillis);
+       ++I)
+    Round(true);
+}
 
 /// Cost of the cooperative cancellation checkpoints (support/Cancel.h):
 /// the same work with a far-future deadline armed (every strided poll
@@ -87,29 +104,6 @@ CheckpointOverhead measureCheckpointOverhead(RunFn Run) {
   return Result;
 }
 
-/// Host-quietness probe for the JSON's `host_contention` sanity field:
-/// times a fixed ~1ms spin workload several times and reports median/min.
-/// On an idle core the samples are nearly identical (~1.0); a timeshared
-/// host steals time from most samples and pushes the median up. The
-/// median (not the max) is what keeps one scheduler tick from condemning
-/// a quiet window. Baselines recorded with a value much above ~1.5 were
-/// captured in a noisy window and should be re-recorded, not trusted.
-inline double hostContention() {
-  using Clock = std::chrono::steady_clock;
-  volatile uint64_t Sink = 0;
-  double Samples[9];
-  for (double &Ns : Samples) {
-    Clock::time_point Start = Clock::now();
-    for (uint64_t I = 0; I < 2000000; ++I)
-      Sink = Sink + I;
-    Ns = std::chrono::duration<double, std::nano>(Clock::now() - Start)
-             .count();
-  }
-  constexpr size_t N = sizeof(Samples) / sizeof(Samples[0]);
-  std::sort(Samples, Samples + N);
-  return Samples[0] > 0.0 ? Samples[N / 2] / Samples[0] : 1.0;
-}
-
 /// Opens `<dir>/BENCH_<slug>.json` following the CYPRESS_BENCH_JSON
 /// convention (the variable's value is the directory, "1" means the
 /// current directory). Returns nullptr when the variable is unset or the
@@ -135,6 +129,49 @@ inline std::string jsonEscape(const std::string &S) {
     Out += C;
   }
   return Out;
+}
+
+/// How scripts/ab_bench.py gates a metric against the same metric of a base
+/// build run alternately with it on the same host. A metric whose unit ends
+/// in "/s" is a rate (higher is better); any other is a cost (lower is
+/// better).
+enum class Gate {
+  Band,   ///< Fails when the median per-pair ratio reads >25% worse.
+  Exact,  ///< Deterministic: fails when any run reads worse at all.
+  Report, ///< Printed beside the base, never gated.
+};
+
+/// One entry of a BENCH_*.json `metrics` list.
+struct BenchMetric {
+  std::string Name;
+  double Value = 0.0;
+  const char *Unit = "";
+  Gate Policy = Gate::Report;
+};
+
+/// Writes \p Metrics as the `metrics` member that ends the JSON object the
+/// caller opened on \p Out (the caller has written every other member, each
+/// followed by a comma), closes the object and closes the file. Values are
+/// printed round-trip exact, so an Exact metric compares bit for bit.
+inline void closeBenchJson(std::FILE *Out,
+                           const std::vector<BenchMetric> &Metrics) {
+  static const char *const PolicyNames[] = {"band", "exact", "report"};
+  std::fprintf(Out, "  \"metrics\": [\n");
+  for (size_t I = 0; I < Metrics.size(); ++I) {
+    const BenchMetric &M = Metrics[I];
+    // JSON has no spelling for NaN or infinity; null makes the gate fail.
+    char Value[32] = "null";
+    if (std::isfinite(M.Value))
+      std::snprintf(Value, sizeof(Value), "%.17g", M.Value);
+    std::fprintf(Out,
+                 "    {\"name\": \"%s\", \"value\": %s, \"unit\": \"%s\", "
+                 "\"policy\": \"%s\"}%s\n",
+                 jsonEscape(M.Name).c_str(), Value, M.Unit,
+                 PolicyNames[static_cast<int>(M.Policy)],
+                 I + 1 < Metrics.size() ? "," : "");
+  }
+  std::fprintf(Out, "  ]\n}\n");
+  std::fclose(Out);
 }
 
 /// A compiled kernel together with the registry/mapping that back it.

@@ -107,9 +107,8 @@ void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
   std::FILE *Out = bench::benchJsonOpen("compile_time");
   if (!Out)
     return;
-  std::fprintf(Out, "{\n  \"host_contention\": %.3f,\n", bench::hostContention());
   std::fprintf(Out,
-               "  \"checkpoint_overhead\": {\"plain_us\": %.3f, "
+               "{\n  \"checkpoint_overhead\": {\"plain_us\": %.3f, "
                "\"deadline_us\": %.3f, \"overhead_pct\": %.2f},\n",
                Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
                Checkpoint.overheadPct());
@@ -135,57 +134,71 @@ void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
     }
     std::fprintf(Out, "     ]}%s\n", I + 1 < Breakdowns.size() ? "," : "");
   }
-  std::fprintf(Out, "  ]\n}\n");
-  std::fclose(Out);
+  std::fprintf(Out, "  ],\n");
+  // Single-threaded pipeline totals, each the fastest of a quiet window:
+  // gated, so a pass that slows shows here.
+  std::vector<bench::BenchMetric> Metrics;
+  for (const KernelBreakdown &B : Breakdowns)
+    Metrics.push_back({B.Kernel + " total_us", B.Stats.TotalMicros, "us",
+                       bench::Gate::Band});
+  Metrics.push_back({"checkpoint overhead_pct", Checkpoint.overheadPct(), "%",
+                     bench::Gate::Report});
+  bench::closeBenchJson(Out, Metrics);
 }
 
-/// One warmup compile (first-touch page faults) then the fastest of
-/// bench::kQuietBestOf measured runs — the shared quiet-window methodology
-/// of the gated benches; the per-kernel totals are gated by
-/// scripts/check_bench_regression.py.
-void compileBestOf(const char *Name, const CompileInput &Input,
-                   std::vector<KernelBreakdown> &Breakdowns) {
-  std::optional<PipelineStats> Best;
+/// Full-pipeline compiles of every kernel in bench::quietRounds — the
+/// shared quiet-window methodology of the timed benches — keeping each
+/// kernel's fastest measured compile; the per-kernel totals are gated by
+/// scripts/ab_bench.py. A kernel that fails to compile is left out.
+std::vector<KernelBreakdown> compileBestOf(
+    const std::vector<std::pair<const char *, CompileInput>> &Kernels) {
+  std::vector<std::optional<PipelineStats>> Best(Kernels.size());
+  std::vector<bool> Failed(Kernels.size());
   PassPipeline Pipeline = PassPipeline::defaultPipeline();
   // The allocs column reports the fastest (warm) repeat, i.e. the steady
   // state the alloc-counting test asserts; counting is a thread-local
   // increment per allocation, far below timing noise.
   Pipeline.setCountAllocs(true);
-  for (int I = 0; I < bench::kQuietBestOf + 1; ++I) {
-    PipelineStats Stats;
-    ErrorOr<IRModule> Module = Pipeline.run(Input, nullptr, &Stats);
-    if (!Module) {
-      std::fprintf(stderr, "error: %s: %s\n", Name,
-                   Module.diagnostic().str().c_str());
-      return;
+  bench::quietRounds([&](bool Measured) {
+    for (size_t I = 0; I < Kernels.size(); ++I) {
+      if (Failed[I])
+        continue;
+      PipelineStats Stats;
+      ErrorOr<IRModule> Module =
+          Pipeline.run(Kernels[I].second, nullptr, &Stats);
+      if (!Module) {
+        std::fprintf(stderr, "error: %s: %s\n", Kernels[I].first,
+                     Module.diagnostic().str().c_str());
+        Failed[I] = true;
+        continue;
+      }
+      if (Measured && (!Best[I] || Stats.TotalMicros < Best[I]->TotalMicros))
+        Best[I] = std::move(Stats);
     }
-    if (I == 0)
-      continue; // Warmup.
-    if (!Best || Stats.TotalMicros < Best->TotalMicros)
-      Best = std::move(Stats);
-  }
-  Breakdowns.push_back({Name, std::move(*Best)});
+  });
+  std::vector<KernelBreakdown> Breakdowns;
+  for (size_t I = 0; I < Kernels.size(); ++I)
+    if (!Failed[I] && Best[I])
+      Breakdowns.push_back({Kernels[I].first, std::move(*Best[I])});
+  return Breakdowns;
 }
 
 void reportPerPassBreakdown(std::FILE *Out) {
-  std::vector<KernelBreakdown> Breakdowns;
+  TaskRegistry GemmRegistry;
+  MappingSpec GemmMapping;
+  std::vector<TensorType> GemmArgs;
+  CompileInput Gemm = gemmInput(GemmRegistry, GemmMapping, GemmArgs);
 
-  {
-    TaskRegistry Registry;
-    MappingSpec Mapping;
-    std::vector<TensorType> Args;
-    CompileInput Input = gemmInput(Registry, Mapping, Args);
-    compileBestOf("gemm_4096", Input, Breakdowns);
-  }
-  {
-    AttentionConfig Config = fa2Config(4096);
-    TaskRegistry Registry;
-    registerAttentionTasks(Registry);
-    MappingSpec Mapping = attentionMapping(Config);
-    std::vector<TensorType> Args = attentionArgTypes(Config);
-    CompileInput Input{&Registry, &Mapping, &MachineModel::h100(), Args};
-    compileBestOf("attention_fa2_4096", Input, Breakdowns);
-  }
+  AttentionConfig Config = fa2Config(4096);
+  TaskRegistry AttnRegistry;
+  registerAttentionTasks(AttnRegistry);
+  MappingSpec AttnMapping = attentionMapping(Config);
+  std::vector<TensorType> AttnArgs = attentionArgTypes(Config);
+  CompileInput Attn{&AttnRegistry, &AttnMapping, &MachineModel::h100(),
+                    AttnArgs};
+
+  std::vector<KernelBreakdown> Breakdowns =
+      compileBestOf({{"gemm_4096", Gemm}, {"attention_fa2_4096", Attn}});
 
   printBreakdown(Out, Breakdowns);
 

@@ -11,8 +11,8 @@
 /// tuning grid. Every candidate evaluation in the autotuner
 /// bottoms out in runTiming, so µs-per-run here multiplies directly into
 /// sweep throughput. Under CYPRESS_BENCH_JSON the results are dumped as
-/// BENCH_sim_hotpath.json (schema in docs/BENCHMARKS.md); CI compares the
-/// wall times against the committed bench/baselines snapshot.
+/// BENCH_sim_hotpath.json (schema in docs/BENCHMARKS.md); its `metrics`
+/// list gates the per-run and sweep times in scripts/ab_bench.py.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,7 @@ double millisSince(Clock::time_point Start) {
 
 struct HotpathRow {
   const char *Name;
+  const OwnedKernel *Kernel = nullptr;
   int Runs = 0;
   double MicrosPerRun = 0.0;
   double BlockCycles = 0.0;
@@ -46,13 +47,10 @@ struct HotpathRow {
   int64_t SimIters = 0, ExtrapolatedIters = 0;
 };
 
-/// Times `Runs` timing-only simulations of one compiled kernel per batch
-/// (after one warmup run that also reports cycles/TFLOP/s) and keeps the
-/// fastest batch — the shared warmup-plus-best-of-kQuietBestOf methodology
-/// (BenchUtil.h) that makes the CI regression gate stable on shared
-/// runners and the committed baselines comparable across benches.
-HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs) {
-  HotpathRow Row{Name, Runs};
+/// One warmup timing run of \p Owned, which reports its cycles and
+/// TFLOP/s; MicrosPerRun is left to timeBatch.
+HotpathRow warmKernel(const char *Name, const OwnedKernel &Owned, int Runs) {
+  HotpathRow Row{Name, &Owned, Runs};
   if (!Owned.Kernel)
     return Row;
   ErrorOr<SimResult> Warm = Owned.Kernel->runTiming();
@@ -65,16 +63,19 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs) {
   Row.TFlops = Warm->TFlops;
   Row.SimIters = Warm->SimulatedIterations;
   Row.ExtrapolatedIters = Warm->ExtrapolatedIterations;
-  for (int Batch = 0; Batch < kQuietBestOf; ++Batch) {
-    Clock::time_point Start = Clock::now();
-    for (int I = 0; I < Runs; ++I)
-      if (!Owned.Kernel->runTiming())
-        return Row;
-    double Micros = millisSince(Start) * 1000.0 / Runs;
-    if (Batch == 0 || Micros < Row.MicrosPerRun)
-      Row.MicrosPerRun = Micros;
-  }
   return Row;
+}
+
+/// Microseconds per run over one batch of `Row.Runs` timing-only
+/// simulations of the row's kernel; 0 on failure.
+double timeBatch(const HotpathRow &Row) {
+  if (!Row.Kernel->Kernel)
+    return 0.0;
+  Clock::time_point Start = Clock::now();
+  for (int I = 0; I < Row.Runs; ++I)
+    if (!Row.Kernel->Kernel->runTiming())
+      return 0.0;
+  return millisSince(Start) * 1000.0 / Row.Runs;
 }
 
 /// Checkpoint overhead of one timing run of \p Owned, in batches of
@@ -140,12 +141,22 @@ int main() {
   OwnedKernel LongKKernel = NarrowGemm(32768);
 
   const int Runs = 200;
-  HotpathRow Rows[] = {timeKernel("gemm_4096", GemmKernel, Runs),
-                       timeKernel("fa2_4096", Fa2Kernel, Runs),
-                       timeKernel("fa3_4096", Fa3Kernel, Runs),
-                       timeKernel("gemm_16384_w16", DeepKernel, Runs),
-                       timeKernel("gemm_4096_k4096_w16", ShortKKernel, Runs),
-                       timeKernel("gemm_4096_k32768_w16", LongKKernel, Runs)};
+  HotpathRow Rows[] = {warmKernel("gemm_4096", GemmKernel, Runs),
+                       warmKernel("fa2_4096", Fa2Kernel, Runs),
+                       warmKernel("fa3_4096", Fa3Kernel, Runs),
+                       warmKernel("gemm_16384_w16", DeepKernel, Runs),
+                       warmKernel("gemm_4096_k4096_w16", ShortKKernel, Runs),
+                       warmKernel("gemm_4096_k32768_w16", LongKKernel, Runs)};
+  // Each round times one batch of every kernel; each row keeps its fastest
+  // batch (quietRounds, BenchUtil.h).
+  quietRounds([&](bool Measured) {
+    for (HotpathRow &Row : Rows) {
+      double Micros = timeBatch(Row);
+      if (Measured && Micros > 0.0 &&
+          (Row.MicrosPerRun == 0.0 || Micros < Row.MicrosPerRun))
+        Row.MicrosPerRun = Micros;
+    }
+  });
   for (const HotpathRow &Row : Rows)
     std::printf("%-22s %6d %10.1f %16.1f %9.1f %8lld %8lld\n", Row.Name,
                 Row.Runs, Row.MicrosPerRun, Row.BlockCycles, Row.TFlops,
@@ -170,16 +181,15 @@ int main() {
 
   // The mapping_explorer grid, end to end: enumerate + prune + compile +
   // simulate on a cold session (no kernel- or cost-cache reuse), exactly
-  // what one fresh tuning sweep costs. One warmup sweep then best of
-  // kQuietBestOf, for the same stability reason as above; per-candidate
-  // compile/simulate wall times from the fastest sweep's TuneResult split
-  // its total.
+  // what one fresh tuning sweep costs. Timed in quietRounds for the same
+  // stability reason as above; per-candidate compile/simulate wall times
+  // from the fastest sweep's TuneResult split its total.
   std::printf("\n== mapping_explorer grid sweep (cold session) ==\n");
   GemmConfig Base;
   Base.M = Base.N = Base.K = 4096;
   TuneResult Sweep;
   double SweepMillis = 0.0;
-  for (int Attempt = 0; Attempt < kQuietBestOf + 1; ++Attempt) {
+  quietRounds([&](bool Measured) {
     CompilerSession Session;
     Tuner SweepTuner(Session);
     Clock::time_point SweepStart = Clock::now();
@@ -187,13 +197,11 @@ int main() {
         gemmSearchSpec(Base, gemmSweepAxes()), MachineModel::h100(),
         TuneBudget());
     double Millis = millisSince(SweepStart);
-    if (Attempt == 0)
-      continue; // Warmup: first sweep pays first-touch page faults.
-    if (Attempt == 1 || Millis < SweepMillis) {
+    if (Measured && (SweepMillis == 0.0 || Millis < SweepMillis)) {
       SweepMillis = Millis;
       Sweep = std::move(Result);
     }
-  }
+  });
 
   double CompileMicros = 0.0, SimMicros = 0.0;
   for (const CandidateResult &Row : Sweep.Landscape) {
@@ -210,10 +218,8 @@ int main() {
                 Best->TFlops);
 
   if (std::FILE *Out = benchJsonOpen("sim_hotpath")) {
-    std::fprintf(Out,
-                 "{\n  \"machine\": \"%s\",\n  \"host_contention\": %.3f,\n"
-                 "  \"kernels\": [\n",
-                 MachineModel::h100().name().c_str(), hostContention());
+    std::fprintf(Out, "{\n  \"machine\": \"%s\",\n  \"kernels\": [\n",
+                 MachineModel::h100().name().c_str());
     for (size_t I = 0; I < sizeof(Rows) / sizeof(Rows[0]); ++I)
       std::fprintf(Out,
                    "    {\"kernel\": \"%s\", \"runs\": %d, "
@@ -235,11 +241,24 @@ int main() {
     std::fprintf(Out,
                  "  \"sweep\": {\"candidates\": %zu, \"pruned\": %zu, "
                  "\"pipelines_run\": %zu, \"wall_ms\": %.6g, "
-                 "\"compile_us\": %.6g, \"sim_us\": %.6g}\n}\n",
+                 "\"compile_us\": %.6g, \"sim_us\": %.6g},\n",
                  Sweep.Stats.Candidates, Sweep.Stats.Pruned,
                  Sweep.Stats.PipelinesRun, SweepMillis, CompileMicros,
                  SimMicros);
-    std::fclose(Out);
+    // Each us_per_run is the best batch of 200 runs and the sweep the best
+    // sweep of a quiet window, stable enough to gate. Summed compile time
+    // inflates under worker-pool contention.
+    std::vector<BenchMetric> Metrics;
+    for (const HotpathRow &Row : Rows)
+      Metrics.push_back({std::string(Row.Name) + " us_per_run",
+                         Row.MicrosPerRun, "us", Gate::Band});
+    Metrics.push_back({"sweep wall_ms", SweepMillis, "ms", Gate::Band});
+    Metrics.push_back({"sweep sim_us", SimMicros, "us", Gate::Band});
+    Metrics.push_back(
+        {"sweep compile_us", CompileMicros, "us", Gate::Report});
+    Metrics.push_back({"checkpoint overhead_pct", Checkpoint.overheadPct(),
+                       "%", Gate::Report});
+    closeBenchJson(Out, Metrics);
   }
   return 0;
 }

@@ -74,10 +74,6 @@ KernelSearchSpec cypress::gemmSearchSpec(GemmConfig Base,
   return Spec;
 }
 
-std::vector<TuningAxis> cypress::attentionSweepAxes() {
-  return {{"BR", {128, 192, 256}}, {"BC", {64, 128}}, {"PIPE", {2, 3}}};
-}
-
 std::vector<TuningAxis> cypress::attentionGuidedAxes() {
   // 3*3*4*3 * 3*3 * 4 = 3,888 raw points.
   return {{"BR", {128, 192, 256}},

@@ -41,10 +41,6 @@ std::vector<TuningAxis> gemmGuidedAxes();
 /// "TMA_A", "TMA_B", "SMEM".
 KernelSearchSpec gemmSearchSpec(GemmConfig Base, std::vector<TuningAxis> Axes);
 
-/// Default attention sweep: BR in {128, 192, 256}, BC in {64, 128},
-/// PIPE in {2, 3}, with WGS slaved to the base config.
-std::vector<TuningAxis> attentionSweepAxes();
-
 /// The guided attention grid: the sweep axes widened (BC down to 32, WGS
 /// and deeper pipelines swept) and crossed with the per-stream K/V
 /// pipeline depths and the SMEM occupancy cap. ~2.9 * 10^3 points,

@@ -106,13 +106,6 @@ MappingSpace::Candidate MappingSpace::candidateAt(size_t Index) const {
   return C;
 }
 
-void MappingSpace::forEach(
-    const std::function<bool(size_t, const Candidate &)> &Visit) const {
-  for (size_t N = 0; N < Total; ++N)
-    if (!Visit(N, candidateAt(N)))
-      return;
-}
-
 const std::vector<MappingSpace::Candidate> &MappingSpace::candidates() const {
   if (!Materialized) {
     std::vector<Candidate> All;

@@ -141,11 +141,6 @@ public:
   /// pointAt plus the static-feasibility verdict.
   Candidate candidateAt(size_t Index) const;
 
-  /// Streams every candidate in enumeration order without materializing
-  /// the space. Return false from \p Visit to stop early.
-  void forEach(const std::function<bool(size_t, const Candidate &)> &Visit)
-      const;
-
   /// All candidates in enumeration order, pruned ones included with their
   /// rejection diagnostics. Materializes (and caches) the whole product —
   /// only call on spaces small enough to evaluate exhaustively.

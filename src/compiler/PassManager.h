@@ -192,7 +192,6 @@ public:
   /// threads' allocation costs, so only measurement harnesses
   /// (bench_compile_time, the steady-state tests) should turn it on.
   void setCountAllocs(bool Enable) { CountAllocs = Enable; }
-  bool countAllocs() const { return CountAllocs; }
 
   /// Dump the IR to the print stream after every pass. The environment
   /// variable CYPRESS_PRINT_IR_AFTER_ALL enables this too. While dumping,

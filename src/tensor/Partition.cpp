@@ -23,18 +23,6 @@ const char *cypress::partitionKindName(PartitionKind Kind) {
   cypressUnreachable("unknown partition kind");
 }
 
-const char *cypress::mmaOperandName(MmaOperand Operand) {
-  switch (Operand) {
-  case MmaOperand::A:
-    return "A";
-  case MmaOperand::B:
-    return "B";
-  case MmaOperand::C:
-    return "C";
-  }
-  cypressUnreachable("unknown mma operand");
-}
-
 std::string MmaInstruction::toString() const {
   return formatString("WGMMA_%lldx%lldx%lld", static_cast<long long>(M),
                       static_cast<long long>(N), static_cast<long long>(K));

@@ -48,8 +48,6 @@ enum class MmaOperand : uint8_t {
   C, ///< Accumulator (register file, Figure 4 swizzle).
 };
 
-const char *mmaOperandName(MmaOperand Operand);
-
 /// Shape of one warpgroup MMA instruction, e.g. WGMMA_64x256x16.
 struct MmaInstruction {
   int64_t M;
