@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compiler-overhead measurements, two layers:
+/// Compiler-overhead measurements, three layers:
 ///
 ///  1. A per-pass breakdown of one full-pipeline compile of each shipped
 ///     kernel, taken from the pass manager's PipelineStats: wall time,
@@ -13,7 +13,11 @@
 ///     as a table on startup and, when CYPRESS_BENCH_JSON is set, written
 ///     to `BENCH_compile_time.json` (schema in docs/BENCHMARKS.md).
 ///
-///  2. google-benchmark microbenchmarks of the default pipeline
+///  2. The cost of serving a batch the session has already compiled: an
+///     all-hit CompilerSession::compileAll of four kernels on one worker,
+///     i.e. keying plus cache lookup. Written to the same JSON.
+///
+///  3. google-benchmark microbenchmarks of the default pipeline
 ///     (`PassPipeline::defaultPipeline().run`) and individual stages, for
 ///     statistically robust totals.
 ///
@@ -24,11 +28,13 @@
 
 #include "BenchUtil.h"
 #include "compiler/PassManager.h"
+#include "runtime/Session.h"
 #include "support/AllocCounter.h"
 #include "support/Cancel.h"
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,7 +109,8 @@ bench::CheckpointOverhead measurePipelineCheckpointOverhead() {
 /// BENCH_compile_time.json via the same CYPRESS_BENCH_JSON convention as
 /// the Table drivers (value = directory, "1" = cwd).
 void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
-                    const bench::CheckpointOverhead &Checkpoint) {
+                    const bench::CheckpointOverhead &Checkpoint,
+                    double HitBatchMicros) {
   std::FILE *Out = bench::benchJsonOpen("compile_time");
   if (!Out)
     return;
@@ -141,6 +148,9 @@ void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
   for (const KernelBreakdown &B : Breakdowns)
     Metrics.push_back({B.Kernel + " total_us", B.Stats.TotalMicros, "us",
                        bench::Gate::Band});
+  // Keying plus lookup: a regression in how keys are built shows here.
+  Metrics.push_back({"hit_batch_4 us_per_batch", HitBatchMicros, "us",
+                     bench::Gate::Band});
   Metrics.push_back({"checkpoint overhead_pct", Checkpoint.overheadPct(), "%",
                      bench::Gate::Report});
   bench::closeBenchJson(Out, Metrics);
@@ -183,6 +193,58 @@ std::vector<KernelBreakdown> compileBestOf(
   return Breakdowns;
 }
 
+/// Microseconds per all-hit compileAll of a 4-kernel batch (GEMM and FA2
+/// at two sizes each) on a one-worker session, so the batch runs on the
+/// calling thread: the fastest quietRounds round of kHitBatches batches.
+/// Nothing compiles once the warmup round has filled the cache.
+double measureHitBatch() {
+  constexpr int kHitBatches = 1000;
+  TaskRegistry GemmRegistry, AttnRegistry;
+  registerGemmTasks(GemmRegistry);
+  registerAttentionTasks(AttnRegistry);
+  std::vector<MappingSpec> Mappings;
+  Mappings.reserve(4); // The requests point into it: no reallocation.
+  std::vector<CompilerSession::Request> Batch;
+  for (int64_t Size : {2048, 4096}) {
+    GemmConfig Gemm;
+    Gemm.M = Gemm.N = Gemm.K = Size;
+    Mappings.push_back(gemmMapping(Gemm));
+    Batch.push_back({{&GemmRegistry, &Mappings.back(), &MachineModel::h100(),
+                      gemmArgTypes(Gemm)},
+                     "gemm",
+                     ""});
+    AttentionConfig Attn = fa2Config(Size);
+    Mappings.push_back(attentionMapping(Attn));
+    Batch.push_back({{&AttnRegistry, &Mappings.back(), &MachineModel::h100(),
+                      attentionArgTypes(Attn)},
+                     "attention",
+                     ""});
+  }
+
+  SessionConfig Config;
+  Config.Workers = 1;
+  CompilerSession Session(Config);
+  double Best = 0.0;
+  bench::quietRounds([&](bool Measured) {
+    auto Start = std::chrono::steady_clock::now();
+    for (int I = 0; I < kHitBatches; ++I) {
+      auto Results = Session.compileAll(Batch);
+      benchmark::DoNotOptimize(Results.data());
+    }
+    double Micros = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - Start)
+                        .count() /
+                    kHitBatches;
+    if (Measured && (Best == 0.0 || Micros < Best))
+      Best = Micros;
+  });
+  CacheStats Stats = Session.cacheStats();
+  if (Stats.Entries != Batch.size() || Stats.Misses != Batch.size())
+    std::fprintf(stderr, "error: hit-batch bench compiled %llu times\n",
+                 static_cast<unsigned long long>(Stats.Misses));
+  return Best;
+}
+
 void reportPerPassBreakdown(std::FILE *Out) {
   TaskRegistry GemmRegistry;
   MappingSpec GemmMapping;
@@ -209,7 +271,13 @@ void reportPerPassBreakdown(std::FILE *Out) {
                Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
                Checkpoint.overheadPct());
 
-  maybeWriteJson(Breakdowns, Checkpoint);
+  double HitBatchMicros = measureHitBatch();
+  std::fprintf(Out,
+               "session hit path: %.2f us per all-hit compileAll of a "
+               "4-kernel batch (1 worker)\n\n",
+               HitBatchMicros);
+
+  maybeWriteJson(Breakdowns, Checkpoint, HitBatchMicros);
 }
 
 //===----------------------------------------------------------------------===//

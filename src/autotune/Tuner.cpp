@@ -7,6 +7,7 @@
 #include "autotune/Tuner.h"
 
 #include "support/FaultInjection.h"
+#include "support/Format.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -145,8 +146,8 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
     Mappings.push_back(Spec.BuildMapping(Row.Point));
     CompileInput Input{&Registry, &Mappings.back(), &Machine,
                        Spec.BuildArgs(Row.Point)};
-    // One serialization per candidate: the session key doubles as the
-    // cost-cache key's prefix and rides along in the request.
+    // One key per candidate: the session key doubles as the cost-cache
+    // key's prefix and rides along in the request.
     std::string SessionKey = CompilerSession::cacheKey(Input);
     std::string CostKey = SessionKey + SimKey;
 
@@ -217,6 +218,14 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
           Eval.Status = CandidateStatus::SimError;
           Eval.Detail = Timing.diagnostic().str();
           Eval.Transient = Timing.diagnostic().isTransient();
+        } else if (!Timing->Races.empty()) {
+          // A mapping must never change what a kernel computes, so one
+          // whose buffers race is rejected however fast it times.
+          Eval.Status = CandidateStatus::SimError;
+          Eval.Detail = formatString("mapping races: %zu hazard(s), first: %s",
+                                     Timing->Races.size(),
+                                     Timing->Races.front().c_str());
+          Eval.Raced = true;
         } else {
           Eval.Status = CandidateStatus::Evaluated;
           Eval.TFlops = Timing->TFlops;
@@ -246,6 +255,10 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
     // nothing is memoized — a later sweep must re-evaluate the point.
     if (Eval.Transient) {
       ++Stats.Quarantined;
+      continue;
+    }
+    if (Eval.Raced) {
+      ++Stats.RaceRejections;
       continue;
     }
     // Keyed on the point's content (not the uid-bearing cost key) so a

@@ -51,7 +51,7 @@ namespace cypress {
 enum class CandidateStatus : uint8_t {
   Pruned,       ///< Statically rejected; the pass pipeline never ran.
   CompileError, ///< Passed pruning but the pipeline rejected it.
-  SimError,     ///< Compiled but the simulator failed.
+  SimError,     ///< Compiled but the simulator failed or found a race.
   Evaluated,    ///< Compiled and timed.
 };
 
@@ -127,6 +127,10 @@ struct TuneStats {
   /// quarantined into the landscape with their diagnostics but never
   /// written to the cost cache, so a later sweep re-evaluates them.
   size_t Quarantined = 0;
+  /// Candidates that compiled and timed but whose shared-memory buffers
+  /// race (SimResult::Races non-empty): listed as SimError rows carrying
+  /// the first race, never ranked, and never written to the cost cache.
+  size_t RaceRejections = 0;
   /// Session-wide cache snapshot after the run (monotonic counters).
   CacheStats Session;
 };
@@ -261,6 +265,8 @@ private:
     /// Failure with a transient Diagnostic code: reported in the row but
     /// never inserted into the cost cache (see Diagnostic::isTransient).
     bool Transient = false;
+    /// Timed, but the simulator reported races: rejected, never cached.
+    bool Raced = false;
   };
 
   /// The shared registry for \p Spec's kernel family (created on first

@@ -7,6 +7,7 @@
 #include "machine/Machine.h"
 
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <algorithm>
 
@@ -51,6 +52,16 @@ MachineModel::MachineModel(std::string Name, std::vector<ProcessorLevel> Levels,
     (void)Mem; // Only inspected by the assert below.
     assert(hasLevel(Mem.Scope) && "memory scope names an unknown level");
   }
+  Fingerprint = "machine{";
+  appendTo(Fingerprint, this->Name, ';');
+  for (const ProcessorLevel &Level : this->Levels)
+    appendTo(Fingerprint, static_cast<int>(Level.Kind), ':', Level.FanOut,
+             ':', Level.ThreadsPerInstance, ',');
+  Fingerprint += '|';
+  for (const MemoryLevel &Mem : this->Memories)
+    appendTo(Fingerprint, static_cast<int>(Mem.Kind), ':',
+             static_cast<int>(Mem.Scope), ':', Mem.CapacityBytes, ',');
+  Fingerprint += '}';
 }
 
 bool MachineModel::hasLevel(Processor Proc) const {

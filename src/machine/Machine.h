@@ -72,7 +72,9 @@ struct MemoryLevel {
 /// A machine: an ordered processor hierarchy plus memories.
 ///
 /// Invariants: levels are listed outermost-first and strictly nested;
-/// every memory's scope names a level present in the hierarchy.
+/// every memory's scope names a level present in the hierarchy. Immutable
+/// once built, like MappingSpec, so its fingerprint is recorded at
+/// construction.
 class MachineModel {
 public:
   MachineModel(std::string Name, std::vector<ProcessorLevel> Levels,
@@ -81,6 +83,14 @@ public:
   const std::string &name() const { return Name; }
   const std::vector<ProcessorLevel> &levels() const { return Levels; }
   const std::vector<MemoryLevel> &memories() const { return Memories; }
+
+  /// Canonical content serialization, `machine{name;levels|memories}`:
+  /// the name plus every field of every level and memory. Fully
+  /// content-keyed (unlike a task registry there are no opaque parts), so
+  /// stack-allocated machine variants from autotuning sweeps can never
+  /// alias through a recycled address. Built once, by the constructor;
+  /// the session cache key embeds it.
+  const std::string &fingerprint() const { return Fingerprint; }
 
   /// True if the machine has the given processor level.
   bool hasLevel(Processor Proc) const;
@@ -132,6 +142,7 @@ private:
   std::string Name;
   std::vector<ProcessorLevel> Levels;
   std::vector<MemoryLevel> Memories;
+  std::string Fingerprint;
 };
 
 /// Hardware constants for the simulated H100 used by the performance model.

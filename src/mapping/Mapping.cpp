@@ -8,8 +8,6 @@
 
 #include "support/Format.h"
 
-#include <sstream>
-
 using namespace cypress;
 
 MappingSpec::MappingSpec(std::vector<TaskMapping> Instances)
@@ -19,6 +17,10 @@ MappingSpec::MappingSpec(std::vector<TaskMapping> Instances)
         Index.emplace(this->Instances[I].Instance, I);
     assert(Fresh && "duplicate mapping instance name");
   }
+  Fingerprint = serialize(/*Knobs=*/true);
+  // Kept for the spec's lifetime: drop the slack left by the appends'
+  // capacity doubling (up to half the string).
+  Fingerprint.shrink_to_fit();
 }
 
 const TaskMapping &MappingSpec::instance(const std::string &Name) const {
@@ -35,40 +37,39 @@ const TaskMapping &MappingSpec::entrypoint() const {
 }
 
 std::string MappingSpec::serialize(bool Knobs) const {
-  std::ostringstream OS;
-  OS << "mapping{";
+  std::string Out = "mapping{";
   for (const TaskMapping &Inst : Instances) {
-    OS << Inst.Instance << '=' << Inst.Variant << '@'
-       << static_cast<int>(Inst.Proc) << '[';
+    appendTo(Out, Inst.Instance, '=', Inst.Variant, '@',
+             static_cast<int>(Inst.Proc), '[');
     for (Memory Mem : Inst.Mems)
-      OS << static_cast<int>(Mem) << ',';
-    OS << "]t{";
+      appendTo(Out, static_cast<int>(Mem), ',');
+    Out += "]t{";
     for (const auto &[Key, Value] : Inst.Tunables)
-      OS << Key << '=' << Value << ',';
+      appendTo(Out, Key, '=', Value, ',');
     for (const auto &[Key, Value] : Inst.ProcTunables)
-      OS << Key << '=' << 'p' << static_cast<int>(Value) << ',';
-    OS << "}m{";
+      appendTo(Out, Key, "=p", static_cast<int>(Value), ',');
+    Out += "}m{";
     for (const auto &[Key, Value] : Inst.TempMems)
-      OS << Key << '=' << static_cast<int>(Value) << ',';
-    OS << "}c{";
+      appendTo(Out, Key, '=', static_cast<int>(Value), ',');
+    Out += "}c{";
     for (const std::string &Call : Inst.Calls)
-      OS << Call << ',';
-    OS << '}';
+      appendTo(Out, Call, ',');
+    Out += '}';
     if (Knobs) {
-      OS << "a{";
+      Out += "a{";
       for (const auto &[Key, Value] : Inst.ArgPipeline)
-        OS << Key << '=' << Value << ',';
+        appendTo(Out, Key, '=', Value, ',');
       for (const std::string &Param : Inst.SimtCopyParams)
-        OS << Param << "=simt,";
-      OS << '}';
+        appendTo(Out, Param, "=simt,");
+      Out += '}';
     }
-    OS << (Inst.Entrypoint ? 'E' : '-') << (Inst.WarpSpecialize ? 'W' : '-');
+    appendTo(Out, Inst.Entrypoint ? 'E' : '-', Inst.WarpSpecialize ? 'W' : '-');
     if (Knobs)
-      OS << 'p' << Inst.PipelineDepth << 's' << Inst.SharedLimitBytes;
-    OS << ' ';
+      appendTo(Out, 'p', Inst.PipelineDepth, 's', Inst.SharedLimitBytes);
+    Out += ' ';
   }
-  OS << '}';
-  return OS.str();
+  Out += '}';
+  return Out;
 }
 
 ErrorOr<std::string> MappingSpec::dispatch(const TaskRegistry &Registry,

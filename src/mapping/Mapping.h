@@ -76,10 +76,12 @@ struct TaskMapping {
   std::vector<std::string> SimtCopyParams;
 };
 
-/// A full mapping specification plus lookup and validation.
+/// A full mapping specification plus lookup and validation. Immutable once
+/// built: the constructor fixes the instances and records the spec's
+/// fingerprint, so nothing can change what the stored fingerprint says.
 class MappingSpec {
 public:
-  MappingSpec() = default;
+  MappingSpec() : MappingSpec(std::vector<TaskMapping>()) {}
   explicit MappingSpec(std::vector<TaskMapping> Instances);
 
   const std::vector<TaskMapping> &instances() const { return Instances; }
@@ -103,8 +105,10 @@ public:
   /// pipeline/warp-specialization knobs. Two specs with equal fingerprints
   /// lower identically, so mappings are comparable and hashable as values —
   /// the CompilerSession kernel-cache key and the autotuner's cost cache
-  /// are both built on this.
-  std::string fingerprint() const { return serialize(/*Knobs=*/true); }
+  /// are both built on this. Serialized once, by the constructor; reading
+  /// it costs nothing, so a session cache hit pays only for copying it
+  /// into the key.
+  const std::string &fingerprint() const { return Fingerprint; }
 
   /// The fingerprint without the four depth/limit knobs (PipelineDepth,
   /// ArgPipeline, SimtCopyParams, SharedLimitBytes). Dependence analysis,
@@ -116,10 +120,11 @@ public:
     return serialize(/*Knobs=*/false);
   }
 
-  /// Content equality (fingerprint comparison). Enumerated candidate specs
-  /// from the autotuner compare by what they say, never by address.
+  /// Content equality: a comparison of the stored fingerprints, which
+  /// cover every TaskMapping field. Enumerated candidate specs from the
+  /// autotuner compare by what they say, never by address.
   bool operator==(const MappingSpec &Other) const {
-    return fingerprint() == Other.fingerprint();
+    return Fingerprint == Other.Fingerprint;
   }
   bool operator!=(const MappingSpec &Other) const { return !(*this == Other); }
 
@@ -139,6 +144,7 @@ private:
 
   std::vector<TaskMapping> Instances;
   std::map<std::string, size_t> Index;
+  std::string Fingerprint; ///< serialize(/*Knobs=*/true), fixed at build.
 };
 
 } // namespace cypress

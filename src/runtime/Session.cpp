@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -200,50 +199,35 @@ void CompilerSession::runParallel(size_t Items,
 
 namespace {
 
-void appendTensorType(std::ostringstream &OS, const TensorType &Type) {
-  OS << elementTypeName(Type.Element) << '[';
-  for (unsigned I = 0; I < Type.Dims.rank(); ++I)
-    OS << (I ? "x" : "") << Type.Dims.dim(I);
-  OS << ']';
-}
-
-void appendMachine(std::ostringstream &OS, const MachineModel &Machine) {
-  // Fully content-keyed (unlike the registry there are no opaque parts),
-  // so stack-allocated machine variants from autotuning sweeps can never
-  // alias through a recycled address.
-  OS << "machine{" << Machine.name() << ';';
-  for (const ProcessorLevel &Level : Machine.levels())
-    OS << static_cast<int>(Level.Kind) << ':' << Level.FanOut << ':'
-       << Level.ThreadsPerInstance << ',';
-  OS << '|';
-  for (const MemoryLevel &Mem : Machine.memories())
-    OS << static_cast<int>(Mem.Kind) << ':' << static_cast<int>(Mem.Scope)
-       << ':' << Mem.CapacityBytes << ',';
-  OS << '}';
-}
-
 std::string inputKey(const CompileInput &Input, const std::string &Mapping) {
-  std::ostringstream OS;
+  const std::string &Machine = Input.Machine->fingerprint();
+  std::string Key;
+  // Sized for the fixed parts plus ~32 bytes per argument type, so the
+  // appends below rarely reallocate.
+  Key.reserve(64 + Mapping.size() + Machine.size() +
+              32 * Input.EntryArgTypes.size());
   // Inner bodies are opaque callables, so the registry's never-recycled
   // uid stands for its content (an address could be reused by a registry
   // with the same structure but different bodies).
-  OS << "registry#" << Input.Registry->uid() << '|' << Mapping << '|';
-  appendMachine(OS, *Input.Machine);
-  OS << "|args{";
+  appendTo(Key, "registry#", Input.Registry->uid(), '|', Mapping, '|',
+           Machine, "|args{");
   for (const TensorType &Type : Input.EntryArgTypes) {
-    appendTensorType(OS, Type);
-    OS << ',';
+    appendTo(Key, elementTypeName(Type.Element), '[');
+    for (unsigned I = 0; I < Type.Dims.rank(); ++I)
+      appendTo(Key, I ? "x" : "", Type.Dims.dim(I));
+    Key += "],";
   }
-  OS << '}';
-  return OS.str();
+  Key += '}';
+  return Key;
 }
 
 } // namespace
 
 std::string CompilerSession::cacheKey(const CompileInput &Input) {
-  // The mapping serializes itself: specs are content-keyed values (see
-  // MappingSpec::fingerprint), which is what lets the autotuner's cost
-  // cache and this kernel cache agree on candidate identity.
+  // The mapping and the machine carry their serializations from
+  // construction (see MappingSpec::fingerprint): specs are content-keyed
+  // values, which is what lets the autotuner's cost cache and this kernel
+  // cache agree on candidate identity.
   return inputKey(Input, Input.Mapping->fingerprint());
 }
 

@@ -13,9 +13,11 @@
 #ifndef CYPRESS_SUPPORT_FORMAT_H
 #define CYPRESS_SUPPORT_FORMAT_H
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cypress {
@@ -37,6 +39,28 @@ formatString(const char *Fmt, ...) {
     std::vsnprintf(Result.data(), Result.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Result;
+}
+
+namespace detail {
+inline void appendPart(std::string &Out, const std::string &Text) {
+  Out += Text;
+}
+inline void appendPart(std::string &Out, const char *Text) { Out += Text; }
+inline void appendPart(std::string &Out, char C) { Out += C; }
+template <typename IntT,
+          typename = std::enable_if_t<std::is_integral_v<IntT>>>
+void appendPart(std::string &Out, IntT Value) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
+}
+} // namespace detail
+
+/// Appends each of \p Parts to \p Out as `std::ostream <<` prints it:
+/// strings and characters verbatim, integers in decimal. Identity keys
+/// are built with it, so building one never constructs a stream.
+template <typename... PartTs>
+void appendTo(std::string &Out, const PartTs &...Parts) {
+  (detail::appendPart(Out, Parts), ...);
 }
 
 /// Joins the elements of \p Parts with \p Sep between them.

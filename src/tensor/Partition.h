@@ -155,15 +155,6 @@ public:
                                   MmaOperand Operand);
 
   PartitionKind kind() const { return Kind; }
-  const Shape &parentShape() const { return Parent; }
-  const Shape &tileShape() const {
-    assert(Kind == PartitionKind::Blocks && "not a blocks partition");
-    return TileShape;
-  }
-  const MmaInstruction &mmaInstr() const {
-    assert(Kind == PartitionKind::Mma && "not an mma partition");
-    return Instr;
-  }
   MmaGranularity granularity() const { return Granularity; }
   MmaOperand operand() const { return Operand; }
 

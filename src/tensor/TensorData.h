@@ -31,7 +31,6 @@ public:
 
   const TensorType &type() const { return Type; }
   const Shape &shape() const { return Type.Dims; }
-  ElementType elementType() const { return Type.Element; }
   int64_t numElements() const { return Type.Dims.numElements(); }
 
   float at(int64_t LinearIndex) const {

@@ -8,8 +8,9 @@
 /// Covers src/autotune/: MappingSpace enumeration order and static
 /// pruning (smem overflow, WGMMA band splits, register budget — rejected
 /// without ever invoking the pass pipeline), the Tuner's agreement with a
-/// brute-force exhaustive sweep, its search-effort accounting, and the
-/// content-keyed cost cache, and the per-search prefix memo: a compile
+/// brute-force exhaustive sweep, its search-effort accounting, its
+/// rejection of mappings that race on shared memory, the content-keyed
+/// cost cache, and the per-search prefix memo: a compile
 /// replayed from a sibling mapping's pass prefix is identical to a fresh
 /// one.
 ///
@@ -451,6 +452,56 @@ TEST(Tuner, CompileErrorsAreReportedWithPassProvenance) {
             std::string::npos);
   EXPECT_EQ(Result.best(), nullptr);
   EXPECT_EQ(Result.Stats.CompileErrors, 1u);
+}
+
+TEST(Tuner, RacingMappingsAreRejectedNeverRanked) {
+  // FA2 at sequence 4096 with K pipelined deeper than V: the allocator
+  // aliases two multi-buffered tiles (ROADMAP item 1), so the simulator
+  // reports shared-memory hazards. Its race-free PIPE_V = 3 sibling times
+  // the same, and ties keep evaluation order, so ranked by speed alone the
+  // racing mapping (enumerated first) would win.
+  KernelSearchSpec Spec = attentionSearchSpec(
+      fa2Config(4096), {{"BR", {192}},
+                        {"BC", {128}},
+                        {"WGS", {3}},
+                        {"PIPE", {2}},
+                        {"PIPE_K", {3}},
+                        {"PIPE_V", {2, 3}},
+                        {"SMEM", {0}}});
+  CompilerSession Session;
+  Tuner Tuner(Session);
+  TuneResult Result =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
+  ASSERT_EQ(Result.Landscape.size(), 2u);
+  EXPECT_EQ(Result.Stats.RaceRejections, 1u);
+
+  const CandidateResult *Best = Result.best();
+  ASSERT_NE(Best, nullptr);
+  EXPECT_EQ(Best->Point.at("PIPE_V"), 3);
+  ErrorOr<SimResult> BestTiming = Best->Kernel->runTiming();
+  ASSERT_TRUE(BestTiming);
+  EXPECT_TRUE(BestTiming->Races.empty());
+
+  const CandidateResult &Racer = Result.Landscape[1];
+  EXPECT_EQ(Racer.Point.at("PIPE_V"), 2);
+  EXPECT_EQ(Racer.Status, CandidateStatus::SimError);
+  EXPECT_EQ(Racer.TFlops, 0.0);
+  ErrorOr<SimResult> RacerTiming = Racer.Kernel->runTiming();
+  ASSERT_TRUE(RacerTiming);
+  ASSERT_FALSE(RacerTiming->Races.empty());
+  EXPECT_NE(Racer.Detail.find(RacerTiming->Races.front()), std::string::npos)
+      << Racer.Detail;
+  EXPECT_GE(tflopsRankKey(RacerTiming->TFlops), tflopsRankKey(Best->TFlops));
+
+  // Only the race-free row is memoized: a repeat sweep replays it from the
+  // cost cache and rejects the racing one again.
+  EXPECT_EQ(Tuner.costCacheSize(), 1u);
+  TuneResult Again =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget());
+  EXPECT_EQ(Again.Stats.CostCacheHits, 1u);
+  EXPECT_EQ(Again.Stats.RaceRejections, 1u);
+  ASSERT_NE(Again.best(), nullptr);
+  EXPECT_EQ(Again.best()->Point.at("PIPE_V"), 3);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,15 +6,20 @@
 ///
 /// \file
 /// Tests for the mapping half of the programming model (Section 3.3):
-/// dispatch resolution through Calls lists, and the static validation the
-/// compiler performs before lowering.
+/// dispatch resolution through Calls lists, the static validation the
+/// compiler performs before lowering, and the fingerprint a spec records
+/// at construction (every field of every instance, kept by copies).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
 #include "mapping/Mapping.h"
+#include "runtime/Session.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 using namespace cypress;
 
@@ -166,6 +171,84 @@ TEST(Mapping, FingerprintIsContentKeyed) {
   std::vector<TaskMapping> Instances = A.instances();
   Instances[0].Tunables["U"] += 64;
   EXPECT_NE(A.fingerprint(), MappingSpec(Instances).fingerprint());
+}
+
+TEST(Mapping, FingerprintCoversEveryTaskMappingField) {
+  // The fingerprint is recorded once, at construction, so a field it
+  // leaves out would let two different mappings share a kernel. Perturb
+  // each TaskMapping field alone: the fingerprint and the session key must
+  // both move, and no two perturbations may collide.
+  TaskMapping Base;
+  Base.Instance = "leaf";
+  Base.Variant = "work_leaf";
+  Base.Proc = Processor::Block;
+  Base.Mems = {Memory::Shared};
+  Base.Tunables = {{"U", 64}};
+  Base.ProcTunables = {{"P", Processor::Warpgroup}};
+  Base.TempMems = {{"acc", Memory::Register}};
+  Base.Calls = {"other"};
+  Base.ArgPipeline = {{"T", 2}};
+  Base.SimtCopyParams = {"T"};
+  Base.PipelineDepth = 2;
+  Base.SharedLimitBytes = 4096;
+  using Edit = std::function<void(TaskMapping &)>;
+  const std::vector<std::pair<const char *, Edit>> Edits = {
+      {"instance", [](TaskMapping &M) { M.Instance = "leaf2"; }},
+      {"variant", [](TaskMapping &M) { M.Variant = "work_leaf2"; }},
+      {"processor", [](TaskMapping &M) { M.Proc = Processor::Warpgroup; }},
+      {"memories", [](TaskMapping &M) { M.Mems = {Memory::Global}; }},
+      {"tunables", [](TaskMapping &M) { M.Tunables["U"] = 128; }},
+      {"processor tunables",
+       [](TaskMapping &M) { M.ProcTunables["P"] = Processor::Warp; }},
+      {"temporary memories",
+       [](TaskMapping &M) { M.TempMems["acc"] = Memory::Shared; }},
+      {"calls", [](TaskMapping &M) { M.Calls.push_back("third"); }},
+      {"argument pipeline", [](TaskMapping &M) { M.ArgPipeline["T"] = 3; }},
+      {"SIMT copy parameters",
+       [](TaskMapping &M) { M.SimtCopyParams.clear(); }},
+      {"entry point", [](TaskMapping &M) { M.Entrypoint = true; }},
+      {"warp specialization",
+       [](TaskMapping &M) { M.WarpSpecialize = true; }},
+      {"pipeline depth", [](TaskMapping &M) { M.PipelineDepth = 3; }},
+      {"shared limit", [](TaskMapping &M) { M.SharedLimitBytes = 8192; }},
+  };
+
+  TaskRegistry Registry = tinyRegistry();
+  std::vector<TensorType> Args = {{Shape({64, 64}), ElementType::F16}};
+  auto KeyOf = [&](const MappingSpec &Spec) {
+    return CompilerSession::cacheKey(
+        {&Registry, &Spec, &MachineModel::h100(), Args});
+  };
+  MappingSpec BaseSpec({Base});
+  std::set<std::string> Fingerprints = {BaseSpec.fingerprint()};
+  std::set<std::string> Keys = {KeyOf(BaseSpec)};
+  for (const auto &[Field, Perturb] : Edits) {
+    TaskMapping Changed = Base;
+    Perturb(Changed);
+    MappingSpec Spec({Changed});
+    EXPECT_TRUE(Fingerprints.insert(Spec.fingerprint()).second) << Field;
+    EXPECT_TRUE(Keys.insert(KeyOf(Spec)).second) << Field;
+    EXPECT_TRUE(Spec != BaseSpec) << Field;
+  }
+}
+
+TEST(Mapping, CopiesKeepTheFingerprint) {
+  MappingSpec Original = gemmMapping(GemmConfig());
+  MappingSpec Copied(Original);
+  EXPECT_EQ(Copied.fingerprint(), Original.fingerprint());
+  EXPECT_TRUE(Copied == Original);
+
+  MappingSpec Assigned = tinyMapping();
+  ASSERT_NE(Assigned.fingerprint(), Original.fingerprint());
+  Assigned = Original;
+  EXPECT_EQ(Assigned.fingerprint(), Original.fingerprint());
+  EXPECT_TRUE(Assigned == Original);
+
+  // Rebuilding from the instances reproduces the recorded fingerprint.
+  EXPECT_EQ(MappingSpec(Original.instances()).fingerprint(),
+            Original.fingerprint());
+  // A default spec fingerprints as the empty mapping.
+  EXPECT_EQ(MappingSpec().fingerprint(), "mapping{}");
 }
 
 TEST(Mapping, ShippedKernelMappingsValidate) {

@@ -26,6 +26,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <set>
 #include <thread>
 
 using namespace cypress;
@@ -465,6 +466,95 @@ TEST(Session, KeyNamesTheRegistryByItsUidAlone) {
                        '|' + Gemm.Mapping.fingerprint() + '|';
   std::string Key = CompilerSession::cacheKey(Gemm.input());
   EXPECT_EQ(Key.compare(0, Prefix.size(), Prefix), 0) << Key;
+}
+
+TEST(Session, EveryMachineFieldMovesTheKey) {
+  // The machine's part of the key is recorded at construction: a field it
+  // left out would let two machines share kernels.
+  SessionGemm Gemm(512);
+  const MachineModel &H100 = MachineModel::h100();
+  auto KeyOn = [&](const MachineModel &Machine) {
+    CompileInput Input = Gemm.input();
+    Input.Machine = &Machine;
+    return CompilerSession::cacheKey(Input);
+  };
+  std::vector<MachineModel> Variants;
+  Variants.emplace_back("h100x", H100.levels(), H100.memories());
+  for (size_t I = 0; I < H100.levels().size(); ++I) {
+    std::vector<ProcessorLevel> Levels = H100.levels();
+    ++Levels[I].FanOut;
+    Variants.emplace_back(H100.name(), Levels, H100.memories());
+    Levels = H100.levels();
+    ++Levels[I].ThreadsPerInstance;
+    Variants.emplace_back(H100.name(), Levels, H100.memories());
+  }
+  {
+    // Swapping two level kinds keeps every memory scope present.
+    std::vector<ProcessorLevel> Levels = H100.levels();
+    std::swap(Levels[3].Kind, Levels[4].Kind);
+    Variants.emplace_back(H100.name(), Levels, H100.memories());
+  }
+  for (size_t I = 0; I < H100.memories().size(); ++I) {
+    std::vector<MemoryLevel> Memories = H100.memories();
+    Memories[I].Kind = Memory::None;
+    Variants.emplace_back(H100.name(), H100.levels(), Memories);
+    Memories = H100.memories();
+    Memories[I].Scope = Memories[I].Scope == Processor::Warp
+                            ? Processor::Thread
+                            : Processor::Warp;
+    Variants.emplace_back(H100.name(), H100.levels(), Memories);
+    Memories = H100.memories();
+    ++Memories[I].CapacityBytes;
+    Variants.emplace_back(H100.name(), H100.levels(), Memories);
+  }
+
+  std::set<std::string> Keys = {KeyOn(H100)};
+  for (size_t I = 0; I < Variants.size(); ++I)
+    EXPECT_TRUE(Keys.insert(KeyOn(Variants[I])).second) << "variant " << I;
+  EXPECT_EQ(Keys.size(), Variants.size() + 1);
+}
+
+TEST(Session, CopiedSpecsAndMachinesKeepTheirKeys) {
+  SessionGemm Gemm(512);
+  const std::string Key = CompilerSession::cacheKey(Gemm.input());
+  const MachineModel &H100 = MachineModel::h100();
+
+  MappingSpec CopiedSpec(Gemm.Mapping);
+  MachineModel CopiedMachine(H100);
+  CompileInput Input = Gemm.input();
+  Input.Mapping = &CopiedSpec;
+  Input.Machine = &CopiedMachine;
+  EXPECT_EQ(CompilerSession::cacheKey(Input), Key);
+
+  MappingSpec AssignedSpec = SessionGemm(1024).Mapping;
+  MachineModel AssignedMachine("other", H100.levels(), {});
+  Input.Mapping = &AssignedSpec;
+  Input.Machine = &AssignedMachine;
+  EXPECT_NE(CompilerSession::cacheKey(Input), Key);
+  AssignedSpec = Gemm.Mapping;
+  AssignedMachine = H100;
+  EXPECT_EQ(CompilerSession::cacheKey(Input), Key);
+  EXPECT_EQ(CompilerSession::structureKey(Input),
+            CompilerSession::structureKey(Gemm.input()));
+}
+
+TEST(Session, SeparatelyBuiltEqualSpecsHitTheSameKernel) {
+  SessionGemm Gemm(512);
+  GemmConfig Config;
+  Config.M = Config.N = Config.K = 512;
+  MappingSpec Rebuilt = gemmMapping(Config);
+  ASSERT_NE(&Rebuilt, &Gemm.Mapping);
+  CompileInput Input = Gemm.input();
+  Input.Mapping = &Rebuilt;
+
+  CompilerSession Session;
+  auto First = Session.compile(Gemm.input(), "gemm");
+  auto Second = Session.compile(Input, "gemm");
+  ASSERT_TRUE(First);
+  ASSERT_TRUE(Second);
+  EXPECT_EQ(First->get(), Second->get());
+  EXPECT_EQ(Session.stats().Hits, 1u);
+  EXPECT_EQ(Session.stats().Misses, 1u);
 }
 
 TEST(Session, IdenticallyFilledRegistriesNeverShareAKernel) {
